@@ -11,7 +11,7 @@ stream two ways:
 2. **served** — 16 client threads each submitting single queries to an
    :class:`OptimizerService`.
 
-Three phases are measured:
+Two phases are measured:
 
 - **coalescing only** — every request distinct, plan cache *disabled*:
   isolates the batching win (the batched decode path's speedup at
@@ -19,21 +19,12 @@ Three phases are measured:
 - **serving stack** — a production-shaped stream where queries repeat
   (each distinct query appears twice, shuffled), plan cache enabled:
   measures the service as deployed.  Full run asserts >= 2x.
-- **replica scaling** — 64 client threads, distinct queries, plan cache
-  off, served by ``num_replicas=1`` vs ``num_replicas=4``: measures how
-  the replica pool breaks the single inference lock.  The pool's
-  parallelism is real threads decoding on independent models, so the
-  speedup is bounded by the machine — the >= 2x assertion is enforced
-  only when the host has at least 4 usable cores (on fewer cores the
-  phase still runs, checks parity, asserts no regression, and reports
-  the scaling as informational).
 
 Parity is checked before any timing is trusted: every served order must
 be identical to the direct call's.
 
 Every run (including ``--smoke``) writes a ``BENCH_serve_throughput.json``
-snapshot — qps, p50/p95 latency, replica count, mean batch size per
-phase — the start of the serving-perf trajectory; CI uploads it as an
+snapshot — qps, p50/p95 latency, mean batch size per phase — the start of the serving-perf trajectory; CI uploads it as an
 artifact.
 
 Run:
@@ -48,9 +39,9 @@ from __future__ import annotations
 
 import os
 
-# Pin BLAS to one thread per op *before* numpy loads: replica scaling
-# must measure pool parallelism, not BLAS-internal threading (which
-# would oversubscribe cores and add run-to-run noise to every phase).
+# Pin BLAS to one thread per op *before* numpy loads: BLAS-internal
+# threading would oversubscribe cores and add run-to-run noise to every
+# phase.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -68,16 +59,7 @@ from repro.serve import OptimizerService, ServeConfig
 from repro.workload import QueryLabeler, WorkloadConfig, WorkloadGenerator
 
 CONCURRENCY = 16
-SCALING_CONCURRENCY = 64
-SCALING_REPLICAS = 4
 SNAPSHOT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_serve_throughput.json")
-
-
-def usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def build_fixture(num_queries: int, seed: int = 5):
@@ -106,15 +88,13 @@ def run_sequential(model, db, requests) -> tuple[list[list[str]], float]:
     return orders, time.perf_counter() - start
 
 
-def run_served(model, db, requests, plan_cache_size: int, concurrency: int = CONCURRENCY,
-               num_replicas: int = 1):
-    """Drive ``requests`` through the service from ``concurrency`` client threads."""
+def run_served(model, db, requests, plan_cache_size: int):
+    """Drive ``requests`` through the service from ``CONCURRENCY`` client threads."""
     model.clear_cache()
     service = OptimizerService(
         model,
         db.name,
         ServeConfig(
-            num_replicas=num_replicas,
             max_batch_size=CONCURRENCY,
             max_wait_ms=4.0,
             plan_cache_size=plan_cache_size,
@@ -136,7 +116,7 @@ def run_served(model, db, requests, plan_cache_size: int, concurrency: int = CON
 
     with service:
         start = time.perf_counter()
-        threads = [threading.Thread(target=client) for _ in range(concurrency)]
+        threads = [threading.Thread(target=client) for _ in range(CONCURRENCY)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -170,43 +150,6 @@ def measure_phase(model, db, requests, plan_cache_size: int, repeats: int) -> di
     }
 
 
-def measure_scaling(model, db, requests, repeats: int) -> dict:
-    """64-client served throughput at 1 vs ``SCALING_REPLICAS`` replicas.
-
-    Distinct queries, plan cache off — every request exercises a model
-    decode, so the phase isolates what the pool is for: concurrent
-    batched forwards on independent replicas instead of convoying on
-    one model's inference lock.
-    """
-    sequential_orders, _ = run_sequential(model, db, requests)
-    mismatches = 0
-    best: dict[int, dict] = {}
-    for replicas in (1, SCALING_REPLICAS):
-        best_s, report = float("inf"), None
-        for _ in range(repeats):
-            orders, elapsed, run_report = run_served(
-                model,
-                db,
-                requests,
-                plan_cache_size=0,
-                concurrency=SCALING_CONCURRENCY,
-                num_replicas=replicas,
-            )
-            mismatches += sum(a != b for a, b in zip(sequential_orders, orders))
-            if elapsed < best_s:
-                best_s, report = elapsed, run_report
-        best[replicas] = {"served_s": best_s, "report": report}
-    return {
-        "requests": len(requests),
-        "mismatches": mismatches,
-        "single_s": best[1]["served_s"],
-        "pooled_s": best[SCALING_REPLICAS]["served_s"],
-        "scaling": best[1]["served_s"] / best[SCALING_REPLICAS]["served_s"],
-        "single_report": best[1]["report"],
-        "pooled_report": best[SCALING_REPLICAS]["report"],
-    }
-
-
 def report_snapshot(report) -> dict:
     """The JSON view of one phase's ServingReport (perf-trajectory row)."""
     latency = report.latency
@@ -214,10 +157,8 @@ def report_snapshot(report) -> dict:
         "qps": round(report.throughput_qps, 2),
         "p50_latency_ms": round(1000 * latency.p50, 3) if latency else None,
         "p95_latency_ms": round(1000 * latency.p95, 3) if latency else None,
-        "num_replicas": report.num_replicas,
         "mean_batch_size": round(report.mean_batch_size, 3),
         "completed": report.completed,
-        "replica_utilization": [round(u, 4) for u in report.replica_utilization],
     }
 
 
@@ -240,27 +181,6 @@ def print_phase(name: str, phase: dict, required: "float | None") -> None:
     print(f"  {'parity':<12}{'identical' if phase['mismatches'] == 0 else 'MISMATCH':>10}")
 
 
-def print_scaling(phase: dict, required: "float | None") -> None:
-    qps_single = phase["requests"] / phase["single_s"]
-    qps_pooled = phase["requests"] / phase["pooled_s"]
-    threshold = (
-        f"(required >= {required:.1f}x)"
-        if required
-        else f"(informational: {usable_cores()} usable core(s))"
-    )
-    print(
-        f"[replica scaling — {SCALING_CONCURRENCY} clients, distinct queries, cache off]  "
-        f"{phase['requests']} requests"
-    )
-    print(f"  {'1 replica':<12}{1000 * phase['single_s']:>10.1f} ms   {qps_single:>8.1f} q/s")
-    print(
-        f"  {f'{SCALING_REPLICAS} replicas':<12}{1000 * phase['pooled_s']:>10.1f} ms   "
-        f"{qps_pooled:>8.1f} q/s"
-    )
-    print(f"  {'scaling':<12}{phase['scaling']:>10.2f} x   {threshold}")
-    print(f"  {'parity':<12}{'identical' if phase['mismatches'] == 0 else 'MISMATCH':>10}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -277,19 +197,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    cores = usable_cores()
     if args.smoke:
         num_queries, repeats = 16, 1
-        coalesce_floor = stack_floor = scaling_floor = None
+        coalesce_floor = stack_floor = None
     else:
         num_queries, repeats = 48, 3
         coalesce_floor, stack_floor = 1.5, 2.0
-        # The pool's speedup is thread parallelism across independent
-        # replicas: it physically cannot exceed the host's core budget.
-        # Enforce the 2x bar only where the hardware can host it; on
-        # smaller machines the phase still runs, checks parity, and
-        # reports the scaling as informational.
-        scaling_floor = 2.0 if cores >= SCALING_REPLICAS else None
 
     model, db, items = build_fixture(num_queries)
     model.predict_join_orders(db.name, items[:4])  # warm BLAS + code paths
@@ -301,8 +214,6 @@ def main(argv: list[str] | None = None) -> int:
     stream = repeated_stream(items, occurrences=2)
     stack = measure_phase(model, db, stream, plan_cache_size=1024, repeats=repeats)
     print_phase("serving stack — repeated queries, plan cache on", stack, stack_floor)
-    scaling = measure_scaling(model, db, items, repeats=repeats)
-    print_scaling(scaling, scaling_floor)
     print()
     print(format_serving_report(stack["report"]))
 
@@ -311,21 +222,14 @@ def main(argv: list[str] | None = None) -> int:
         {
             "benchmark": "serve_throughput",
             "smoke": args.smoke,
-            "usable_cores": cores,
             "client_concurrency": CONCURRENCY,
-            "scaling_concurrency": SCALING_CONCURRENCY,
             "phases": {
                 "coalescing": report_snapshot(coalesce["report"]),
                 "serving_stack": report_snapshot(stack["report"]),
-                "scaling_1_replica": report_snapshot(scaling["single_report"]),
-                f"scaling_{SCALING_REPLICAS}_replicas": report_snapshot(
-                    scaling["pooled_report"]
-                ),
             },
             "speedups": {
                 "coalescing_vs_sequential": round(coalesce["speedup"], 3),
                 "serving_stack_vs_sequential": round(stack["speedup"], 3),
-                "replica_pool_vs_single": round(scaling["scaling"], 3),
             },
         },
     )
@@ -335,15 +239,13 @@ def main(argv: list[str] | None = None) -> int:
     for name, phase, floor in (
         ("coalescing", coalesce, coalesce_floor),
         ("serving stack", stack, stack_floor),
-        ("replica scaling", scaling, scaling_floor),
     ):
         if phase["mismatches"]:
             print(f"FAIL: {phase['mismatches']} order mismatches in {name} phase", file=sys.stderr)
             failed = True
-        ratio = phase.get("speedup", phase.get("scaling"))
-        if floor is not None and ratio < floor:
+        if floor is not None and phase["speedup"] < floor:
             print(
-                f"FAIL: {name} speedup {ratio:.2f}x below required {floor:.1f}x",
+                f"FAIL: {name} speedup {phase['speedup']:.2f}x below required {floor:.1f}x",
                 file=sys.stderr,
             )
             failed = True

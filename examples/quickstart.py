@@ -105,10 +105,9 @@ def main() -> None:
     # K/V cached once per decode, per-session scratch buffers — DESIGN.md
     # section 11); it is bit-identical to the tape path, so none of the
     # parity claims below depend on which mode runs.
-    # To scale decoding across cores, pass ServeConfig(num_replicas=N):
-    # the service then keeps N read-only model replicas (bit-identical
-    # state-dict clones) with one drain worker each, so batches decode
-    # concurrently instead of serializing on one inference lock.
+    # One drain worker decodes every batch on the current session; the
+    # decode is GIL-bound Python, so extra in-process workers measured
+    # slower, not faster (DESIGN.md section 5).
     served: dict[int, list[str]] = {}
     with OptimizerService(model, db.name, ServeConfig(max_batch_size=8, max_wait_ms=3.0)) as service:
         def client(index, item):

@@ -1,22 +1,21 @@
 """Demo: serving concurrent optimizer traffic with micro-batching.
 
 Spins up the always-on serving layer (``repro.serve``) over a trained
-MTMLF-QO model — as a **replica pool** (``num_replicas=2``: two
-read-only model replicas, two drain workers, no shared inference
-lock) — and fires a production-shaped request stream at it from 16
-concurrent clients: queries repeat (hot queries hit the LRU plan
+MTMLF-QO model — one drain worker decoding on the current model — and
+fires a production-shaped request stream at it from 16 concurrent
+clients: queries repeat (hot queries hit the LRU plan
 cache), concurrent distinct queries coalesce into batched
 ``predict_join_orders`` calls, and a sprinkle of malformed requests
 shows per-request error isolation.  Midway, the serving model is
 hot-swapped from a checkpoint while traffic keeps flowing (a rolling
-update that atomically flips the whole replica set, with no restart
-and no lost request).  Ends with the serving report — throughput,
-latency percentiles, batch sizes, per-replica utilization, cache hit
-rate, swap count — and a parity spot-check against direct calls.
+update that atomically flips the serving session, with no restart and
+no lost request).  Ends with the serving report — throughput, latency
+percentiles, batch sizes, cache hit rate, swap count — and a parity
+spot-check against direct calls.
 
 The whole run is observed: a ``repro.obs.Telemetry`` handle records
-request traces (queue -> batch -> decode -> cache), per-replica
-histograms, and the tenant's SLO burn rate, and the demo writes the
+request traces (queue -> batch -> decode -> cache), the drain worker's
+busy-time histogram, and the tenant's SLO burn rate, and the demo writes the
 snapshot to ``serve_demo_telemetry.json`` — render it afterwards with
 ``PYTHONPATH=src python -m repro.obs serve_demo_telemetry.json``.
 
@@ -60,11 +59,8 @@ def main() -> None:
     model.attach_featurizer(db.name, featurizer)
     print(f"database {db.name!r}, {len(pool)} distinct queries in the request pool")
 
-    print("\n=== 2. Start the micro-batching optimizer service (replica pool) ===")
-    serve_config = ServeConfig(
-        num_replicas=2, max_batch_size=CONCURRENCY, max_wait_ms=3.0, plan_cache_size=256
-    )
-    print(f"replica pool: {serve_config.num_replicas} read-only replicas, one drain worker each")
+    print("\n=== 2. Start the micro-batching optimizer service ===")
+    serve_config = ServeConfig(max_batch_size=CONCURRENCY, max_wait_ms=3.0, plan_cache_size=256)
     print(f"batching: up to {serve_config.max_batch_size} requests / "
           f"{serve_config.max_wait_ms} ms window; plan cache {serve_config.plan_cache_size} entries")
 

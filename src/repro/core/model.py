@@ -240,44 +240,6 @@ class MTMLFQO(nn.Module):
         with self._infer_lock:
             return {name: featurizer.db for name, featurizer in self.featurizers.items()}
 
-    def clone_for_inference(self) -> "MTMLFQO":
-        """A detached, read-only replica of this model.
-
-        The in-memory equivalent of a checkpoint round trip
-        (``repro.core.checkpoint``): same config, bit-identical (S)/(T)
-        and featurizer weights (state dicts copy on both save and load),
-        and the same :attr:`version`, but its **own** inference lock and
-        feature/node caches — so inference on the clone never contends
-        with (or pollutes the caches of) the original.  This is what the
-        serving layer's replica pool is built from: N clones decode in
-        parallel, each producing orders bit-identical to the source
-        model's.
-
-        The clone shares the source's :class:`Database` handles (table
-        data and statistics are read-only at inference time) but no
-        weight arrays, so later in-place training of either model can
-        never leak into the other.
-        """
-        with self._infer_lock:
-            state = self.state_dict()
-            featurizer_states = {
-                name: (featurizer.db, featurizer.state_dict())
-                for name, featurizer in self.featurizers.items()
-            }
-            version = self.version
-        clone = MTMLFQO(self.config)
-        clone.load_state_dict(state)
-        for name, (db, featurizer_state) in sorted(featurizer_states.items()):
-            featurizer = DatabaseFeaturizer(db, self.config)
-            featurizer.load_state_dict(featurizer_state)
-            clone.attach_featurizer(name, featurizer)
-        clone.eval()
-        # Restore last: attach_featurizer bumps the counter during
-        # reconstruction, and serving caches key on (version, epoch) —
-        # a replica must carry the source's version identity.
-        clone.restore_version(version)
-        return clone
-
     # ------------------------------------------------------------------
     # Node assembly (F -> raw node sequence)
     # ------------------------------------------------------------------

@@ -17,12 +17,6 @@ class FleetConfig:
         Passed to each tenant's private :class:`JointTrainer` during the
         local phase of a round (``None`` learning rate keeps the model
         config's).
-    num_replicas:
-        Serving replica-pool size for every tenant onboarded without an
-        explicit ``serve_config`` (see :attr:`ServeConfig.num_replicas`):
-        each tenant's :class:`OptimizerService` holds this many read-only
-        model replicas and drain workers, so tenant serving scales past
-        the single inference lock.
     min_new_experience:
         Fresh-experience bar a tenant must clear to *train* in a round.
         Tenants below it skip the local phase (they still receive the
@@ -53,7 +47,6 @@ class FleetConfig:
         tenants).
     """
 
-    num_replicas: int = 1
     fine_tune_epochs: int = 4
     batch_size: int = 8
     learning_rate: float | None = None
@@ -70,8 +63,6 @@ class FleetConfig:
     revert_on_unanimous_rejection: bool = True
 
     def __post_init__(self):
-        if self.num_replicas < 1:
-            raise ValueError(f"num_replicas must be >= 1, got {self.num_replicas}")
         if self.fine_tune_epochs < 1:
             raise ValueError(f"fine_tune_epochs must be >= 1, got {self.fine_tune_epochs}")
         if self.min_new_experience < 1:

@@ -33,7 +33,6 @@ from ..core.serializer import query_signature
 from ..core.trainer import JointTrainer
 from ..optimizer.selectivity import HistogramEstimator
 from ..serve.adaptation import GateResult, evaluate_regret_gate, split_experience
-from ..serve.config import ServeConfig
 from ..serve.feedback import FeedbackCollector, FeedbackConfig
 from ..serve.service import OptimizerService
 from ..serve.stats import ServingReport
@@ -70,10 +69,6 @@ class TenantNode:
         self.name = name or db.name
         self.telemetry = telemetry
         model.featurizer_for(db.name)  # fail fast on a missing (F) module
-        if serve_config is None:
-            # Tenants serve through a replica pool sized by the fleet
-            # config; an explicit serve_config overrides it wholesale.
-            serve_config = ServeConfig(num_replicas=self.config.num_replicas)
         self.service = OptimizerService(model, db.name, serve_config, telemetry=telemetry)
         # SLO outcomes are tracked per *tenant*, not per database: two
         # tenants serving the same database name must burn their error

@@ -16,10 +16,10 @@ Two cross-cutting facilities live here as well:
 - :class:`ScratchArena` — a shape-keyed pool of reusable output buffers.
   Decode workloads repeat the same shapes across beam steps and queries,
   so hot matmuls write into preallocated arrays instead of allocating.
-  Arenas must be **session-private** (one per ``InferenceSession``,
-  created per replica); the ``scratch-privacy`` hygiene checker rejects
-  module-level instances.  A buffer handed out for a ``(tag, shape)``
-  pair is overwritten the next time the same call site runs, so kernel
+  Arenas must be **session-private** (one per ``InferenceSession``);
+  the ``scratch-privacy`` hygiene checker rejects module-level
+  instances.  A buffer handed out for a ``(tag, shape)`` pair is
+  overwritten the next time the same call site runs, so kernel
   outputs must be consumed (or copied) before the next decode step —
   which the beam driver does by construction.
 

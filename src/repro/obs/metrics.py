@@ -11,8 +11,9 @@ This module is the shared substrate they migrate onto:
   with identical bounds merge exactly (bucket-wise addition), which is
   what makes per-shard recording equivalent to centralized recording —
   the property the hypothesis tests in ``tests/test_obs.py`` pin down.
-  Percentiles are *exact within buckets*: the reported quantile lies in
-  the same bucket as the true nearest-rank sample, and never below it;
+  Percentiles are bucket-resolution: the reported quantile is never
+  below the true nearest-rank sample and at most that sample's bucket
+  upper bound (about 2-2.5x wide with the default bounds);
 
 - :class:`MetricsRegistry` — the named, labeled factory-and-directory
   for all of the above, plus windowed time series: every metric owns a
@@ -192,10 +193,10 @@ class Histogram:
     ``count``/``sum``/``min``/``max`` are tracked exactly, so means are
     exact and only percentiles are quantized.
 
-    **Percentile guarantee** (exact within buckets): ``percentile(q)``
-    returns a value in the same bucket as the true nearest-rank sample,
-    and never smaller than it — the bucket's upper bound, clipped to the
-    observed maximum.  Merging histograms with identical bounds is exact:
+    **Percentile guarantee**: ``percentile(q)`` is never below the true
+    nearest-rank sample and at most that sample's bucket upper bound —
+    it returns the bound, clipped to the observed maximum — so with the
+    default bounds it can overstate by the bucket width, about 2-2.5x.  Merging histograms with identical bounds is exact:
     bucket-wise addition loses nothing the buckets hadn't already lost.
     """
 
@@ -273,7 +274,7 @@ class Histogram:
                 self._max = high
 
     def percentile(self, q: float) -> "float | None":
-        """Nearest-rank percentile, exact within buckets (None if empty)."""
+        """Nearest-rank percentile at bucket resolution (None if empty)."""
         if not 0 <= q <= 100:
             raise ValueError(f"percentile out of range: {q}")
         with self._lock:

@@ -154,7 +154,7 @@ class TraceRecorder:
     def span(self, trace_id: int, name: str):
         """Context manager timing one interval on ``trace_id``.
 
-        ``with tracer.span(tid, "decode") as sp: sp.set("replica", 0)``.
+        ``with tracer.span(tid, "decode") as sp: sp.set("queries", 4)``.
         The disabled path returns the shared :data:`NOOP_SPAN`.
         """
         if not self.on or not trace_id:

@@ -1,8 +1,8 @@
 """The micro-batching optimizer service.
 
 :class:`OptimizerService` is the repo's first always-on layer: callers
-submit *single* queries via :meth:`optimize`, and a pool of drain
-workers coalesces concurrent requests into the batched
+submit *single* queries via :meth:`optimize`, and one drain worker
+coalesces concurrent requests into the batched
 :meth:`MTMLFQO.predict_join_orders` path (one Trans_Share forward plus
 lockstep beam decode per batch) that PR 1 built but nothing served.
 
@@ -15,29 +15,24 @@ Request lifecycle::
         │
         ▼  (drain worker: wait up to max_wait_ms for max_batch_size)
     coalesce by structural key ► plan cache recheck ► one batched
-    predict_join_orders on the worker's replica ► fill cache ► wake
+    predict_join_orders on the current session ► fill cache ► wake
     every waiter
 
-Scaling out: every inference entry point of one model serializes on
-that model's single ``_infer_lock``, so a single serving model is one
-core doing batched forwards no matter how many threads submit.
-``ServeConfig.num_replicas`` breaks that bottleneck with an in-process
-**replica pool**: ``num_replicas`` read-only models (the given one plus
-bit-identical :meth:`MTMLFQO.clone_for_inference` copies, each with a
-private lock and private feature caches) and one drain worker per
-replica, worker *i* always decoding on replica *i* — so up to
-``num_replicas`` batches run concurrently with zero lock contention,
-and ``swap_model`` flips the whole replica *set* in one atomic update.
+Concurrency policy: one drain worker decodes on the current
+:class:`repro.core.InferenceSession`.  Every inference entry point of a
+model serializes on its ``_infer_lock`` and the decode is GIL-bound
+Python, so extra in-process workers only add contention: an earlier
+replica pool measured slower than this single drainer (DESIGN.md
+section 5).
 
 Because the batched decode path is bit-identical to per-query calls
-(DESIGN.md section 2), replicas are bit-identical clones, and the cache
-key is the full structural query/plan signature, orders returned
-through the service are identical to direct ``predict_join_orders``
-calls at any pool size — the parity suite (``tests/test_serve.py``)
-asserts this at every beam width 1-8.
+(DESIGN.md section 2) and the cache key is the full structural
+query/plan signature, orders returned through the service are identical
+to direct ``predict_join_orders`` calls — the parity suite
+(``tests/test_serve.py``) asserts this at every beam width 1-8.
 
 Serving gets the no-tape fast path (DESIGN.md section 11) by
-construction: every decode runs through a per-replica
+construction: every decode runs through the service's
 :class:`repro.core.InferenceSession`, whose calls run under
 ``nn.no_grad()`` and thread the session's private ``ScratchArena``
 into the kernels — and the fast path is bit-identical to the tape
@@ -124,25 +119,6 @@ class _Request:
         self.done.set()
 
 
-class _Replica:
-    """One pool slot: a read-only model plus its reusable session.
-
-    Slot 0 wraps the model the service was built with — so
-    ``service.session.model`` keeps its identity for callers that
-    inspect, train, or adapt the live model — while slots 1..N-1 wrap
-    :meth:`MTMLFQO.clone_for_inference` copies.  Every slot's model has
-    a private inference lock and private feature caches, so the drain
-    workers never contend on a lock while decoding.
-    """
-
-    __slots__ = ("index", "model", "session")
-
-    def __init__(self, index: int, model, session):
-        self.index = index
-        self.model = model
-        self.session = session
-
-
 class OptimizerService:
     """Micro-batching join-order service over one ``(model, database)``.
 
@@ -152,10 +128,8 @@ class OptimizerService:
             order = service.optimize(labeled_query)
 
     ``optimize`` is safe to call from many threads; all model work runs
-    on the drain workers through reusable
-    :class:`repro.core.InferenceSession`\\ s, one per pool replica
-    (``config.num_replicas``; the default pool of one is the original
-    single-drainer service).
+    on one drain worker through a reusable
+    :class:`repro.core.InferenceSession`.
     """
 
     def __init__(self, model, db_name: str, config: ServeConfig | None = None, telemetry=None):
@@ -173,7 +147,6 @@ class OptimizerService:
         self.session = model.inference_session(db_name)  # guarded-by: _mutex
         self.cache = PlanCache(self.config.plan_cache_size)
         self.stats = ServiceStats(
-            num_replicas=self.config.num_replicas,
             registry=telemetry.registry if telemetry is not None else None,
             labels={"service": f"{db_name}/{next(_INSTANCE_IDS)}"},
         )
@@ -181,11 +154,7 @@ class OptimizerService:
         self._mutex = threading.Lock()
         self._nonempty = threading.Condition(self._mutex)
         self._running = False  # guarded-by: _mutex
-        self._drainers: "list[threading.Thread]" = []  # guarded-by: _mutex
-        # The replica set drain worker i pins its batches to (slot i).
-        # Replaced wholesale — never mutated in place — by swap_model,
-        # in the same critical section that updates `session`/`_epoch`.
-        self._replicas = self._build_replicas(model, self.session)  # guarded-by: _mutex
+        self._drainer: "threading.Thread | None" = None  # guarded-by: _mutex
         # Bumped by swap_model and embedded in every cache key: model
         # `version` counters are per-instance, so two independently built
         # models can share a version number — the epoch guarantees a
@@ -199,48 +168,31 @@ class OptimizerService:
         self.feedback = None
         self.adaptation = None
 
-    def _build_replicas(self, model, primary_session) -> "list[_Replica]":
-        """The pool for ``model``: slot 0 is the model itself (with
-        ``primary_session``), slots 1..N-1 are independent clones."""
-        replicas = [_Replica(0, model, primary_session)]
-        for index in range(1, self.config.num_replicas):
-            clone = model.clone_for_inference()
-            replicas.append(_Replica(index, clone, clone.inference_session(self.db_name)))
-        return replicas
-
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "OptimizerService":
         with self._mutex:
             if self._running:
                 raise RuntimeError("service already running")
             self._running = True
-            # Publish the (started) workers before releasing the lock so
-            # a concurrent stop() always finds joinable threads.
-            self._drainers = [
-                threading.Thread(
-                    target=self._drain_loop,
-                    args=(index,),
-                    name=f"optimizer-serve-{self.db_name}-{index}",
-                    daemon=True,
-                )
-                for index in range(self.config.num_replicas)
-            ]
-            for drainer in self._drainers:
-                drainer.start()
+            # Publish the (started) worker before releasing the lock so
+            # a concurrent stop() always finds a joinable thread.
+            self._drainer = threading.Thread(
+                target=self._drain_loop, name=f"optimizer-serve-{self.db_name}", daemon=True
+            )
+            self._drainer.start()
         return self
 
     def stop(self) -> None:
-        """Stop accepting requests, drain what is queued, join all workers."""
+        """Stop accepting requests, drain what is queued, join the worker."""
         with self._nonempty:
             if not self._running:
                 return
             self._running = False
             self._nonempty.notify_all()
-            drainers = list(self._drainers)
-        for drainer in drainers:
-            drainer.join()
+            drainer = self._drainer
+        drainer.join()
         with self._mutex:
-            self._drainers = []
+            self._drainer = None
 
     def __enter__(self) -> "OptimizerService":
         return self.start()
@@ -314,13 +266,12 @@ class OptimizerService:
         current model already knows those databases).
 
         Protocol (DESIGN.md "Model lifecycle"): the replacement session
-        *and its full replica set* are built and validated *before* the
-        switch; the switch itself is one atomic update of
-        ``(session, replicas, epoch)`` under the service mutex.  Batches
-        already handed to a replica finish on it — drain workers pin
-        their replica at batch formation — so no queued or in-flight
-        request is lost or duplicated; batches formed after the switch
-        decode on the new replica set.  The bumped epoch retires every
+        is built and validated *before* the switch; the switch itself is
+        one atomic update of ``(session, epoch)`` under the service
+        mutex.  A batch already formed finishes on the session it was
+        pinned to at formation, so no queued or in-flight request is
+        lost or duplicated; batches formed after the switch decode on
+        the new session.  The bumped epoch retires every
         cached plan: a post-swap request can never be answered from the
         pre-swap cache, even if both models share a ``version`` counter
         value.  Returns the new serving model.
@@ -339,13 +290,10 @@ class OptimizerService:
         else:
             new_model = model_or_path
         # Validates the featurizer and pins eval mode before the switch;
-        # a bad replacement (or a failing clone) raises here and the old
-        # replica set keeps serving.
+        # a bad replacement raises here and the old session keeps serving.
         new_session = new_model.inference_session(self.db_name)
-        new_replicas = self._build_replicas(new_model, new_session)
         with self._mutex:
             self.session = new_session
-            self._replicas = new_replicas
             self._epoch += 1
         # Pre-swap entries are unreachable (their keys carry the old
         # epoch); dropping them returns the LRU's full capacity to the
@@ -354,7 +302,7 @@ class OptimizerService:
         # totals are preserved in the stats, not blended into the new
         # hit rate).  An in-flight pre-swap batch may re-insert a few
         # old-epoch entries after this — dead weight bounded by one
-        # batch per worker, evicted by normal churn.
+        # batch, evicted by normal churn.
         retired = self.cache.clear(reset_stats=True)
         self.stats.note_swap(retired)
         return new_model
@@ -459,8 +407,8 @@ class OptimizerService:
         self._offer_feedback(labeled, request.result, trace_id)
         return request.result
 
-    # -- drain workers -------------------------------------------------
-    def _drain_loop(self, worker_index: int = 0) -> None:
+    # -- drain worker --------------------------------------------------
+    def _drain_loop(self) -> None:
         max_wait_s = self.config.max_wait_ms / 1000.0
         while True:
             with self._nonempty:
@@ -476,48 +424,27 @@ class OptimizerService:
                     if remaining <= 0:
                         break
                     self._nonempty.wait(remaining)
-                if not self._queue:
-                    # A sibling worker drained everything while this one
-                    # held its batch open — back to waiting for arrivals.
-                    continue
                 take = min(self.config.max_batch_size, len(self._queue))
                 batch = [self._queue.popleft() for _ in range(take)]
-                # Pin this worker's replica at batch formation: a
-                # swap_model landing while the batch decodes must not
-                # move it to the new replica set mid-flight (an in-flight
-                # batch finishes on the replica it started on).  Worker i
-                # always takes slot i of the *current* set, so no two
-                # workers ever share a replica — decoding is contention-
-                # free by construction.
-                replica = self._replicas[worker_index]
-            decode_started = time.perf_counter()
+                # Pin the session at batch formation: a swap_model
+                # landing while the batch decodes must not move it to
+                # the new model mid-flight (an in-flight batch finishes
+                # on the session it started on).
+                session = self.session
+            formed_at = time.perf_counter()
             try:
-                self._process_batch(
-                    batch,
-                    replica.session,
-                    replica_index=replica.index,
-                    formed_at=decode_started,
-                )
+                self._process_batch(batch, session, formed_at)
             except BaseException as error:
-                # A drain worker must survive anything — a dead worker
-                # would shrink the pool silently (and with one replica,
-                # leave a zombie service that accepts requests and never
-                # answers).  Fail the batch's waiters and carry on.
+                # The drain worker must survive anything — a dead worker
+                # leaves a zombie service that accepts requests and never
+                # answers.  Fail the batch's waiters and carry on.
                 for request in batch:
                     if not request.done.is_set():
                         request.fail(error)
             finally:
-                self.stats.note_replica_busy(
-                    replica.index, time.perf_counter() - decode_started
-                )
+                self.stats.note_busy(time.perf_counter() - formed_at)
 
-    def _process_batch(
-        self, batch: list[_Request], session=None, replica_index=None, formed_at=None
-    ) -> None:
-        if session is None:
-            session, _ = self._serving_state()
-        if formed_at is None:
-            formed_at = time.perf_counter()
+    def _process_batch(self, batch: list[_Request], session, formed_at: float) -> None:
         # Span recording happens on this worker thread, outside every
         # service lock, onto the trace IDs the requests carried across
         # the queue.  One int check when telemetry is off.
@@ -571,7 +498,6 @@ class OptimizerService:
             num_requests=len(batch),
             num_model_queries=len(runnable),
             num_coalesced=len(batch) - len(groups),
-            replica_index=replica_index,
         )
         if not runnable:
             return
@@ -597,25 +523,23 @@ class OptimizerService:
                         "batch",
                         formed_at,
                         decode_started,
-                        {"requests": len(batch), "replica": replica_index},
+                        {"requests": len(batch)},
                     )
                     tracer.record(
                         trace_id,
                         "decode",
                         decode_started,
                         decode_ended,
-                        {"replica": replica_index, "queries": len(runnable)},
+                        {"queries": len(runnable)},
                     )
                     tracer.event(trace_id, "cache.fill")
 
-    def _serve_individually(self, runnable: list[tuple[tuple, list[_Request]]], session=None) -> None:
+    def _serve_individually(self, runnable: list[tuple[tuple, list[_Request]]], session) -> None:
         """Fallback after a failed batch: isolate the offending request.
 
         Each distinct query is retried solo so an error poisons only its
         own requesters; the healthy rest of the batch still gets orders.
         """
-        if session is None:
-            session, _ = self._serving_state()
         for key, requests in runnable:
             try:
                 order = session.predict_join_orders(

@@ -11,12 +11,13 @@ metric (labeled with the owning service instance), and latency lives in
 a **fixed-bucket histogram** instead of the former bounded sample deque
 — memory is O(buckets) regardless of traffic, and per-shard histograms
 merge exactly.  Percentiles in the resulting
-:class:`~repro.eval.metrics.LatencyStats` are therefore exact within
-buckets (count/mean/max stay exact); see
-:class:`repro.obs.metrics.Histogram` for the guarantee.  Passing a
-shared registry (via ``OptimizerService(..., telemetry=...)``) makes
-the same numbers visible to the fleet-wide snapshot with no second
-accounting path.
+:class:`~repro.eval.metrics.LatencyStats` are bucket-resolution: never
+below the true nearest-rank sample and at most its bucket's upper
+bound, a bucket being about 2-2.5x wide with the default bounds
+(count/mean/max stay exact); see :class:`repro.obs.metrics.Histogram`.
+Passing a shared registry (via ``OptimizerService(..., telemetry=...)``)
+makes the same numbers visible to the fleet-wide snapshot with no
+second accounting path.
 """
 
 from __future__ import annotations
@@ -64,15 +65,11 @@ class ServingReport:
     swaps_accepted: int = 0       # retrains that passed the gate + swapped
     swaps_rejected: int = 0       # retrains blocked by the regression gate
     adaptation_failures: int = 0  # cycles that crashed before a verdict
-    # Replica-pool counters (trivial for the default 1-replica service).
+    busy_s: float = 0.0   # wall-clock the drain worker spent on batches
     # cache_hits/cache_misses above cover the *current* cache epoch only;
     # swap_model resets the cache counters and retires the old epoch's
     # totals here, so lifetime lookups are current + retired while
     # cache_hit_rate never blends numbers across a swap.
-    num_replicas: int = 1
-    replica_batches: "tuple[int, ...]" = ()     # batches decoded per replica
-    replica_requests: "tuple[int, ...]" = ()    # requests served per replica
-    replica_busy_s: "tuple[float, ...]" = ()    # wall-clock spent decoding
     retired_cache_hits: int = 0
     retired_cache_misses: int = 0
 
@@ -97,11 +94,9 @@ class ServingReport:
         return self.cache_hits / lookups if lookups else 0.0
 
     @property
-    def replica_utilization(self) -> "tuple[float, ...]":
-        """Fraction of serving wall-clock each replica spent decoding."""
-        if self.elapsed_s <= 0:
-            return tuple(0.0 for _ in self.replica_busy_s)
-        return tuple(busy / self.elapsed_s for busy in self.replica_busy_s)
+    def replica_busy_s(self) -> "tuple[float, ...]":
+        # Compatibility for perfbench/workloads.py; goes when it reads busy_s.
+        return (self.busy_s,)
 
 
 class ServiceStats:
@@ -115,13 +110,11 @@ class ServiceStats:
 
     def __init__(
         self,
-        num_replicas: int = 1,
         registry: "MetricsRegistry | None" = None,
         labels: "dict[str, str] | None" = None,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.labels = dict(labels or {})
-        self.num_replicas = max(1, num_replicas)
         self._lock = threading.Lock()
         self._first_request_at: float | None = None  # guarded-by: _lock
         self._last_done_at: float | None = None  # guarded-by: _lock
@@ -139,22 +132,7 @@ class ServiceStats:
         self._retired_misses = counter("serve.retired_cache_misses", labels=self.labels)
         self._max_batch = self.registry.gauge("serve.max_batch", labels=self.labels)
         self._latency = self.registry.histogram("serve.latency_s", labels=self.labels)
-        # Indexed by drain-worker slot; slots survive replica-set flips,
-        # so these are lifetime counters per pool position.
-        self._replica_batches = [
-            counter("serve.replica.batches", labels={**self.labels, "replica": str(i)})
-            for i in range(self.num_replicas)
-        ]
-        self._replica_requests = [
-            counter("serve.replica.requests", labels={**self.labels, "replica": str(i)})
-            for i in range(self.num_replicas)
-        ]
-        self._replica_busy = [
-            self.registry.histogram(
-                "serve.replica.busy_s", labels={**self.labels, "replica": str(i)}
-            )
-            for i in range(self.num_replicas)
-        ]
+        self._busy = self.registry.histogram("serve.busy_s", labels=self.labels)
 
     # -- writers (service-internal) ------------------------------------
     def note_request(self) -> float:
@@ -195,27 +173,17 @@ class ServiceStats:
     def note_timeout_near_miss(self) -> None:
         self._near_misses.inc()
 
-    def note_batch(
-        self,
-        num_requests: int,
-        num_model_queries: int,
-        num_coalesced: int,
-        replica_index: "int | None" = None,
-    ) -> None:
+    def note_batch(self, num_requests: int, num_model_queries: int, num_coalesced: int) -> None:
         self._batches.inc()
         self._batched_requests.inc(num_requests)
         self._model_calls.inc(num_model_queries)
         self._coalesced.inc(num_coalesced)
         self._max_batch.update_max(num_requests)
-        if replica_index is not None and 0 <= replica_index < self.num_replicas:
-            self._replica_batches[replica_index].inc()
-            self._replica_requests[replica_index].inc(num_requests)
 
-    def note_replica_busy(self, replica_index: int, busy_s: float) -> None:
-        """Wall-clock one drain worker spent processing a batch (the
+    def note_busy(self, busy_s: float) -> None:
+        """Wall-clock the drain worker spent processing a batch (the
         utilization numerator; recorded even when the batch failed)."""
-        if 0 <= replica_index < self.num_replicas:
-            self._replica_busy[replica_index].observe(busy_s)
+        self._busy.observe(busy_s)
 
     # ------------------------------------------------------------------
     def _latency_stats(self) -> "LatencyStats | None":
@@ -260,10 +228,7 @@ class ServiceStats:
             cache_entries=cache_stats.size,
             elapsed_s=elapsed,
             latency=self._latency_stats(),
-            num_replicas=self.num_replicas,
-            replica_batches=tuple(int(c.value) for c in self._replica_batches),
-            replica_requests=tuple(int(c.value) for c in self._replica_requests),
-            replica_busy_s=tuple(h.sum for h in self._replica_busy),
+            busy_s=self._busy.sum,
             retired_cache_hits=int(self._retired_hits.value),
             retired_cache_misses=int(self._retired_misses.value),
         )

@@ -95,11 +95,27 @@ def _unquote(token: str) -> str:
 
 
 def _parse_value(token: str):
+    """A literal: a quoted string, an int or a decimal number."""
     if token.startswith("'"):
         return _unquote(token)
     if re.fullmatch(r"-?\d+", token):
         return int(token)
-    return float(token)
+    if re.fullmatch(r"-?\d+\.\d+", token):
+        return float(token)
+    raise SQLSyntaxError(f"expected a quoted string or a number, got {token!r}")
+
+
+def _parse_number(token: str) -> float:
+    value = _parse_value(token)
+    if isinstance(value, str):
+        raise SQLSyntaxError(f"expected a number, got {token!r}")
+    return float(value)
+
+
+def _parse_pattern(token: str) -> str:
+    if not token.startswith("'"):
+        raise SQLSyntaxError(f"LIKE needs a quoted pattern, got {token!r}")
+    return _unquote(token)
 
 
 def _split_column_ref(token: str) -> tuple[str, str]:
@@ -163,23 +179,23 @@ def _parse_condition(stream: _TokenStream, joins: list, filters: dict) -> None:
 
     if stream.accept("NOT"):
         stream.expect("LIKE")
-        pattern = stream.next()
+        pattern = _parse_pattern(stream.next())
         filters.setdefault(table, []).append(
-            LikePredicate(table=table, column=column, pattern=_unquote(pattern), negated=True)
+            LikePredicate(table=table, column=column, pattern=pattern, negated=True)
         )
         return
     if stream.accept("LIKE"):
-        pattern = stream.next()
+        pattern = _parse_pattern(stream.next())
         filters.setdefault(table, []).append(
-            LikePredicate(table=table, column=column, pattern=_unquote(pattern))
+            LikePredicate(table=table, column=column, pattern=pattern)
         )
         return
     if stream.accept("BETWEEN"):
-        low = _parse_value(stream.next())
+        low = _parse_number(stream.next())
         stream.expect("AND")
-        high = _parse_value(stream.next())
+        high = _parse_number(stream.next())
         filters.setdefault(table, []).append(
-            BetweenPredicate(table=table, column=column, low=float(low), high=float(high))
+            BetweenPredicate(table=table, column=column, low=low, high=high)
         )
         return
     if stream.accept("IN"):

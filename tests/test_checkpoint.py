@@ -83,30 +83,6 @@ class TestRoundTrip:
             db.name, labeled, beam_width=beam_width
         ) == model.predict_join_orders(db.name, labeled, beam_width=beam_width)
 
-    def test_clone_for_inference_matches_disk_round_trip(self, db, labeled, trained, tmp_path):
-        """``clone_for_inference`` is the in-memory fast path of the same
-        guarantee: the state-dict clone, the disk round trip, and the
-        source model are all bit-identical (the property the serving
-        replica pool rests on)."""
-        model, _ = trained
-        clone = model.clone_for_inference()
-        loaded = load_checkpoint(save_checkpoint(model, str(tmp_path / "clone")), databases=db)
-        assert clone.version == loaded.version == model.version
-        assert not clone.training  # ready to serve, like a loaded model
-        direct = model.predict_join_orders(db.name, labeled)
-        assert clone.predict_join_orders(db.name, labeled) == direct
-        assert loaded.predict_join_orders(db.name, labeled) == direct
-        for from_clone, from_disk in zip(
-            clone.predict_cardinalities(db.name, labeled),
-            loaded.predict_cardinalities(db.name, labeled),
-        ):
-            np.testing.assert_array_equal(from_clone, from_disk)
-        for from_clone, from_disk in zip(
-            clone.predict_costs(db.name, labeled),
-            loaded.predict_costs(db.name, labeled),
-        ):
-            np.testing.assert_array_equal(from_clone, from_disk)
-
     def test_model_version_and_config_survive(self, db, trained, tmp_path):
         model, _ = trained
         path = save_checkpoint(model, str(tmp_path / "v"))

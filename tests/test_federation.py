@@ -72,6 +72,10 @@ def make_tenant(db, featurizer, global_state, config, name=None) -> TenantNode:
 
 
 class TestTenantNode:
+    def test_fleet_config_has_no_replica_pool_size(self):
+        with pytest.raises(TypeError):
+            FleetConfig(num_replicas=2)
+
     def test_local_update_skips_below_threshold(self, fixture):
         tenants, global_state = fixture
         db, featurizer, pool = tenants[0]
@@ -113,22 +117,6 @@ class TestTenantNode:
         tenant = make_tenant(db, featurizer, global_state, tiny_fleet_config())
         assert tenant.inject_experience(pool[:4]) == 4
         assert tenant.inject_experience(pool[:4]) == 0
-
-    def test_fleet_num_replicas_reaches_tenant_service(self, fixture):
-        """Tenants onboarded without an explicit serve_config serve
-        through a replica pool sized by the fleet config."""
-        tenants, global_state = fixture
-        db, featurizer, pool = tenants[0]
-        config = tiny_fleet_config(num_replicas=2)
-        tenant = make_tenant(db, featurizer, global_state, config)
-        assert tenant.service.config.num_replicas == 2
-        direct = tenant.live_model.predict_join_orders(db.name, pool[:4])
-        with tenant:
-            served = [tenant.optimize(item) for item in pool[:4]]
-            report = tenant.report()
-        assert served == direct
-        assert report.num_replicas == 2
-        assert len(report.replica_batches) == 2
 
     def test_consider_global_without_experience_keeps_live_model(self, fixture):
         tenants, global_state = fixture

@@ -13,7 +13,7 @@ matter:
 - **disabled path** — a disabled tracer mints trace ID 0, hands out the
   shared no-op span, and records nothing;
 - **end-to-end** — a service run with telemetry produces a complete
-  queue->batch->decode trace, per-replica histograms, and SLO state.
+  queue->batch->decode trace, a drain-worker busy histogram, and SLO state.
 """
 
 import json
@@ -323,7 +323,7 @@ class TestExport:
         tel.registry.histogram("serve.latency_s").observe(0.02)
         tid = tel.tracer.new_trace()
         with tel.tracer.span(tid, "decode") as span:
-            span.set("replica", 0)
+            span.set("queries", 4)
         tel.tracer.event(tid, "cache.fill")
         tel.slo.record("tenant-a", 0.02)
         tel.slo.record("tenant-a", 0.5)
@@ -465,12 +465,14 @@ class TestServiceTelemetry:
         names = [s.name for s in spans]
         assert "cache.fill" in names or "cache.hit" in names
         decode = next(s for s in spans if s.name == "decode")
-        assert "replica" in decode.attrs
+        assert 1 <= decode.attrs["queries"] <= config.max_batch_size
         # Metrics live in the shared registry under this service's label.
         latency = next(
             m for m in tel.registry.metrics() if m.name == "serve.latency_s"
         )
         assert latency.count == report.completed
+        busy = next(m for m in tel.registry.metrics() if m.name == "serve.busy_s")
+        assert busy.count > 0
         # SLO recorded every completed request under the tenant name.
         status = tel.slo.status(db.name)
         assert status is not None and status.total == report.completed

@@ -9,10 +9,11 @@ per-request error isolation, timeouts, and lifecycle errors.
 """
 
 import threading
+import time
 
 import pytest
 
-from repro.core import JointTrainer, ModelConfig, MTMLFQO, replicate_model
+from repro.core import JointTrainer, ModelConfig, MTMLFQO
 from repro.core.encoders import DatabaseFeaturizer
 from repro.datagen import generate_database
 from repro.serve import (
@@ -261,6 +262,11 @@ class TestRequestLifecycle:
         with pytest.raises(ServiceStoppedError):
             service.optimize(labeled[0])
 
+    def test_only_one_drain_worker_is_accepted(self):
+        assert ServeConfig(num_replicas=1).num_replicas == 1
+        with pytest.raises(ValueError, match="replica pool was removed"):
+            ServeConfig(num_replicas=2)
+
     def test_missing_featurizer_fails_at_construction(self, labeled):
         bare = MTMLFQO(SMALL)
         with pytest.raises(KeyError, match="no featurizer"):
@@ -409,7 +415,7 @@ class TestRequestLifecycle:
         assert service.queue_depth == 1
         abandoned = service._queue[0]
         assert abandoned.abandoned
-        service._process_batch([abandoned])
+        service._process_batch([abandoned], service.session, time.perf_counter())
         report = service.report()
         assert report.model_calls == 0 and report.batches == 0
         assert not abandoned.done.is_set()
@@ -418,7 +424,7 @@ class TestRequestLifecycle:
     def test_report_counters_consistent(self, db, model, labeled):
         with OptimizerService(model, db.name, ServeConfig(max_batch_size=4)) as service:
             serve_all(service, labeled)
-            report = service.report()
+        report = service.report()  # after stop: the worker's busy time is in
         assert report.completed == len(labeled)
         assert report.rejected == 0 and report.failed == 0
         assert report.batches >= 1
@@ -427,6 +433,7 @@ class TestRequestLifecycle:
         assert report.queue_depth == 0
         assert report.latency is not None and report.latency.count == len(labeled)
         assert report.throughput_qps > 0
+        assert report.busy_s > 0
 
     def test_format_serving_report_renders(self, db, model, labeled):
         from repro.eval import format_serving_report
@@ -435,136 +442,6 @@ class TestRequestLifecycle:
             service.optimize(labeled[0])
             text = format_serving_report(service.report())
         assert "completed" in text and "plan cache" in text and "latency" in text
-
-
-class TestReplicaPool:
-    @pytest.fixture()
-    def model_b(self, db, featurizer, labeled):
-        """A second model with visibly different weights (briefly trained)."""
-        other = MTMLFQO(SMALL)
-        other.attach_featurizer(db.name, featurizer)
-        JointTrainer(other).train(
-            [(db.name, item) for item in labeled], epochs=2, batch_size=4
-        )
-        return other
-
-    @pytest.mark.parametrize("beam_width", list(range(1, 9)))
-    def test_pool_parity_across_beam_widths(self, db, model, labeled, beam_width):
-        """N replicas, cache off (every request decodes on some replica):
-        orders are bit-identical to direct calls — and therefore to the
-        1-replica service, whose parity the suite asserts above."""
-        direct = model.predict_join_orders(db.name, labeled, beam_width=beam_width)
-        config = ServeConfig(
-            num_replicas=3,
-            max_batch_size=4,
-            max_wait_ms=2.0,
-            beam_width=beam_width,
-            plan_cache_size=0,
-        )
-        with OptimizerService(model, db.name, config) as service:
-            served = serve_all(service, labeled)
-        assert served == direct
-
-    def test_primary_replica_is_the_given_model(self, db, model):
-        service = OptimizerService(model, db.name, ServeConfig(num_replicas=3))
-        assert service.session.model is model  # live-model identity holds
-        assert service._replicas[0].model is model
-        assert service._replicas[0].session is service.session
-        clones = service._replicas[1:]
-        assert len(clones) == 2
-        assert all(replica.model is not model for replica in clones)
-        assert all(replica.model.version == model.version for replica in clones)
-
-    def test_clone_for_inference_is_bit_identical_and_independent(self, db, model, labeled):
-        clone = model.clone_for_inference()
-        assert clone is not model
-        assert clone.version == model.version
-        direct = model.predict_join_orders(db.name, labeled)
-        assert clone.predict_join_orders(db.name, labeled) == direct
-        # Weight arrays are copies, never views of the source's.
-        for (name, param), (clone_name, clone_param) in zip(
-            model.named_parameters(), clone.named_parameters()
-        ):
-            assert name == clone_name
-            assert param.data is not clone_param.data
-        # Mutating the source does not reach into the clone.
-        version = clone.version
-        model.mark_updated()
-        assert clone.version == version
-        assert clone.predict_join_orders(db.name, labeled) == direct
-
-    def test_replicate_model_fans_out(self, model):
-        assert replicate_model(model, 0) == []
-        replicas = replicate_model(model, 2)
-        assert len(replicas) == 2
-        assert len({id(replica) for replica in replicas}) == 2
-        with pytest.raises(ValueError):
-            replicate_model(model, -1)
-
-    def test_swap_under_load_with_all_replicas_busy(self, db, model, model_b, labeled):
-        """Clients saturating a 4-replica pool across a swap each get
-        exactly one answer, bit-identical to one of the two models'
-        direct results; traffic after the swap is all new-model."""
-        direct_a = model.predict_join_orders(db.name, labeled)
-        direct_b = model_b.predict_join_orders(db.name, labeled)
-        config = ServeConfig(
-            num_replicas=4, max_batch_size=2, max_wait_ms=1.0, plan_cache_size=0
-        )
-        rounds = 6
-        responses: dict[tuple[int, int], tuple[int, list[str]]] = {}
-        errors: list[BaseException] = []
-        lock = threading.Lock()
-
-        with OptimizerService(model, db.name, config) as service:
-            def client(slot):
-                try:
-                    for round_index in range(rounds):
-                        index = (slot + round_index) % len(labeled)
-                        order = service.optimize(labeled[index])
-                        with lock:
-                            responses[(slot, round_index)] = (index, order)
-                except BaseException as error:
-                    errors.append(error)
-
-            threads = [threading.Thread(target=client, args=(slot,)) for slot in range(16)]
-            for thread in threads:
-                thread.start()
-            service.swap_model(model_b)  # lands with every replica under fire
-            for thread in threads:
-                thread.join()
-            post = [service.optimize(item) for item in labeled]
-            report = service.report()
-
-        assert not errors, errors
-        assert len(responses) == 16 * rounds  # exactly one answer each
-        for index, order in responses.values():
-            assert order in (direct_a[index], direct_b[index])
-        assert post == direct_b  # after the swap: new replica set only
-        assert report.swaps == 1
-
-    def test_report_carries_per_replica_counters(self, db, model, labeled):
-        config = ServeConfig(
-            num_replicas=2, max_batch_size=2, max_wait_ms=1.0, plan_cache_size=0
-        )
-        with OptimizerService(model, db.name, config) as service:
-            serve_all(service, labeled)
-            report = service.report()
-        assert report.num_replicas == 2
-        assert len(report.replica_batches) == 2
-        assert len(report.replica_requests) == 2
-        assert len(report.replica_utilization) == 2
-        # Every drained batch is attributed to exactly one replica slot.
-        assert sum(report.replica_batches) == report.batches
-        assert sum(report.replica_requests) == report.batched_requests
-        assert all(share >= 0.0 for share in report.replica_utilization)
-
-    def test_pool_report_renders(self, db, model, labeled):
-        from repro.eval import format_serving_report
-
-        with OptimizerService(model, db.name, ServeConfig(num_replicas=2)) as service:
-            serve_all(service, labeled)
-            text = format_serving_report(service.report())
-        assert "replica pool" in text and "replica utilization" in text
 
 
 class TestPlanCacheStats:
@@ -592,10 +469,11 @@ class TestPlanCacheStats:
         assert retired == CacheStats(hits=1, misses=1, size=0)
         assert cache.stats() == CacheStats(hits=0, misses=0, size=0)
 
-    def test_swap_starts_a_fresh_cache_epoch(self, db, model, labeled):
+    def test_swap_starts_a_fresh_cache_epoch(self, db, model, featurizer, labeled):
         """Post-swap hit rate covers the new epoch only; the retired
         epoch's totals survive in the retired_* report fields."""
-        other = model.clone_for_inference()
+        other = MTMLFQO(SMALL)
+        other.attach_featurizer(db.name, featurizer)
         with OptimizerService(model, db.name) as service:
             service.optimize(labeled[0])  # miss
             service.optimize(labeled[0])  # hit

@@ -170,71 +170,6 @@ class TestServiceUnderStress:
         # The drain loop demonstrably ran under tracing.
         assert any("_mutex" in src for src in lock_monitor.edges()) or lock_monitor.edges() == {}
 
-    def test_replica_pool_loses_and_duplicates_nothing(self, db, featurizer, pool):
-        """Same lost/duplicate contract as above, but with a 4-replica
-        pool: four drain workers race on the shared queue and cache
-        while decoding on independent replicas, plus hot swaps landing
-        mid-traffic — every request still gets exactly one response,
-        bit-identical to a direct call on one of the served models."""
-        model = MTMLFQO(SMALL)
-        model.attach_featurizer(db.name, featurizer)
-        direct = model.predict_join_orders(db.name, pool, beam_width=2)
-        expected = {index: order for index, order in enumerate(direct)}
-
-        config = ServeConfig(
-            num_replicas=4,
-            max_batch_size=4,
-            max_wait_ms=1.0,
-            plan_cache_size=5,  # smaller than the pool: eviction churn
-            beam_width=2,
-        )
-        service = OptimizerService(model, db.name, config)
-        lock_monitor = LockMonitor()
-        instrument_model(model, lock_monitor)
-        instrument_service(service, lock_monitor)
-        responses: list[list[tuple[int, list[str]]]] = [[] for _ in range(NUM_THREADS)]
-        errors: list[BaseException] = []
-
-        def client(slot):
-            rng = random.Random(1000 + slot)
-            try:
-                for _ in range(REQUESTS_PER_THREAD):
-                    index = rng.randrange(len(pool))
-                    responses[slot].append((index, service.optimize(pool[index])))
-            except BaseException as error:
-                errors.append(error)
-
-        with service:
-            threads = [
-                threading.Thread(target=client, args=(slot,)) for slot in range(NUM_THREADS)
-            ]
-            for thread in threads:
-                thread.start()
-            # Swap to a bit-identical clone mid-traffic: replies stay
-            # byte-comparable to `direct` while the whole replica *set*
-            # (all four slots) flips under load.
-            service.swap_model(model.clone_for_inference())
-            for thread in threads:
-                thread.join()
-            report = service.report()
-
-        assert not errors, errors
-        total = NUM_THREADS * REQUESTS_PER_THREAD
-        received = sum(len(slot_responses) for slot_responses in responses)
-        assert received == total  # exactly one response per request
-        for slot_responses in responses:
-            for index, order in slot_responses:
-                assert order == expected[index]
-        assert report.completed == total
-        assert report.rejected == 0 and report.failed == 0
-        assert report.num_replicas == 4
-        assert sum(report.replica_batches) == report.batches
-        assert sum(report.replica_requests) == report.batched_requests
-        # With 12 clients racing 4 workers, at least one non-primary
-        # replica must have drained work.
-        assert sum(report.replica_batches[1:]) > 0
-        lock_monitor.assert_clean()
-
     def test_seeded_lock_inversion_is_caught_under_stress(self):
         """Meta-test for the runtime detector: stress traffic with a
         consistent A→B order, then one rogue B→A pair — the detector

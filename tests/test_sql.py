@@ -245,3 +245,64 @@ class TestParser:
     def test_syntax_errors(self, bad):
         with pytest.raises(SQLSyntaxError):
             parse_query(bad)
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            "t.a = movie_in",  # unquoted non-numeric literal
+            "t.a IN (abc)",
+            "t.a IN (1, abc)",
+            "t.a BETWEEN 'x' AND 3",  # BETWEEN bounds must be numbers
+            "t.a BETWEEN 1 AND 'y'",
+            "t.a = inf",  # identifiers float() would accept are not numbers
+            "t.a LIKE 5",  # LIKE needs a quoted pattern
+            "t.a NOT LIKE abc",
+        ],
+    )
+    def test_bad_literals_raise_syntax_error(self, condition):
+        with pytest.raises(SQLSyntaxError):
+            parse_query(f"SELECT COUNT(*) FROM t WHERE {condition}")
+
+
+VALID_SQL = [
+    "SELECT COUNT(*) FROM a, b WHERE a.bid = b.id AND a.x > 5",
+    "SELECT COUNT(*) FROM t WHERE t.name NOT LIKE 'x%' AND t.v BETWEEN 1 AND 2.5;",
+    "SELECT COUNT(*) FROM t WHERE t.v IN (1, -2, 'o''b') AND t.w <> 3",
+]
+TOKEN_POOL = [
+    "movie_in", "abc", "inf", "nan", "t.a", "b.id", "'x'", "''", "5", "-2.5",
+    "(", ")", ",", ";", "*", "=", "<", "<>", "AND", "LIKE", "NOT", "BETWEEN",
+    "IN", "WHERE", "FROM", "'", "-", ".",
+]
+
+
+def _parses_or_syntax_error(sql: str) -> None:
+    try:
+        result = parse_query(sql)
+    except SQLSyntaxError:
+        return
+    assert isinstance(result, Query)
+
+
+class TestParserBoundary:
+    """``parse_query`` fails only with ``SQLSyntaxError``, never another type."""
+
+    @given(st.text(max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text(self, text):
+        _parses_or_syntax_error(text)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_valid_queries(self, data):
+        tokens = data.draw(st.sampled_from(VALID_SQL)).split()
+        for _ in range(data.draw(st.integers(1, 3))):
+            index = data.draw(st.integers(0, len(tokens) - 1))
+            kind = data.draw(st.sampled_from(["drop", "replace", "insert"]))
+            if kind == "drop" and len(tokens) > 1:
+                del tokens[index]
+            elif kind == "replace":
+                tokens[index] = data.draw(st.sampled_from(TOKEN_POOL))
+            else:
+                tokens.insert(index, data.draw(st.sampled_from(TOKEN_POOL)))
+        _parses_or_syntax_error(" ".join(tokens))
