@@ -43,6 +43,7 @@ FORWARD_CALLS = frozenset(
         "forward_batch",
         "predict_log_nodes",
         "encode_filter",
+        "encode_filters",
         "column_embedding",
         "step_logits_batch",
     }
@@ -68,6 +69,7 @@ DEFAULT_SCOPES = (
     GradModeScope("*core/model.py", "MTMLFQO._decode_candidate_chunks"),
     GradModeScope("*core/model.py", "MTMLFQO._rerank_by_cost*"),
     GradModeScope("*core/model.py", "MTMLFQO._node_content"),
+    GradModeScope("*core/model.py", "MTMLFQO._prefill_filter_encodings"),
     GradModeScope("*core/beam.py", "drive_beam_states"),
     GradModeScope("*/serve/*.py", "*"),
 )

@@ -51,6 +51,7 @@ from .model import EncodedQuery, FeatureCache, InferenceSession, MTMLFQO
 from .serializer import (
     JoinTree,
     decoding_embeddings,
+    filter_signature,
     join_tree_from_order,
     join_tree_from_plan,
     plan_signature,
@@ -112,6 +113,7 @@ __all__ = [
     "join_tree_from_order",
     "join_tree_from_plan",
     "serialize_plan",
+    "filter_signature",
     "plan_signature",
     "query_signature",
     "decoding_embeddings",

@@ -51,20 +51,21 @@ class TableEncoder(nn.Module):
         self.selectivity_head = nn.MLP([config.d_model, config.d_model, 1], rng=rng)
 
     def forward(self, tokens: np.ndarray, column_vectors: nn.Tensor) -> nn.Tensor:
-        """Encode (L, feat_dim) predicate tokens -> (1, d_model) summary.
+        """Encode (B, L, feat_dim) stacked predicate tokens -> (B, d_model).
 
-        ``column_vectors`` is (L, d_model // 2): the per-DB learned
-        embedding of each token's column.
+        ``column_vectors`` is (B, L, d_model // 2): the per-DB learned
+        embedding of each token's column.  Rows never interact, and
+        numpy runs one gemm per leading-dim slice, so each row's summary
+        is bit-identical to encoding that filter alone (DESIGN.md
+        section 2).
         """
-        token_tensor = nn.Tensor(tokens[None, :, :])  # (1, L, F)
-        col = column_vectors.reshape(1, column_vectors.shape[0], column_vectors.shape[1])
-        x = nn.functional.concat([token_tensor, col], axis=2)
+        x = nn.functional.concat([nn.Tensor(tokens), column_vectors], axis=2)
         x = self.input_proj(x)
-        hidden = self.encoder(x)  # (1, L, d)
+        hidden = self.encoder(x)  # (B, L, d)
         return hidden[:, 0, :]  # summary token
 
     def predict_log_selectivity(self, tokens: np.ndarray, column_vectors: nn.Tensor) -> nn.Tensor:
-        """Log-selectivity (<= 0) of the filter; Enc_i's training target."""
+        """Log-selectivity (<= 0) of one filter (B = 1); Enc_i's training target."""
         summary = self.forward(tokens, column_vectors)
         raw = self.selectivity_head(summary).reshape(1).clip(-30.0, 30.0)
         # Selectivity lies in (0, 1]: parameterize log-sel = -softplus(raw),
@@ -111,16 +112,34 @@ class DatabaseFeaturizer(nn.Module):
         return self.predicates.schema_signature()
 
     # ------------------------------------------------------------------
+    def _stacked_inputs(self, conjunctions: list[Conjunction]) -> tuple[np.ndarray, nn.Tensor]:
+        """(B, L, F) tokens and (B, L, d_model // 2) column vectors."""
+        featurized = [self.predicates.featurize_conjunction(c) for c in conjunctions]
+        tokens = np.stack([tokens for tokens, _ in featurized])
+        column_ids = np.stack([ids for _, ids in featurized])
+        return tokens, self.column_embedding(column_ids)
+
+    def encode_filters(self, conjunctions: list[Conjunction]) -> nn.Tensor:
+        """``E(f(T_i))`` of several filters in one stacked ``Enc_i`` forward.
+
+        All filters must be on one table and have one predicate count, so
+        the stack needs no padding; returns (B, d_model), row ``b``
+        bit-identical to ``encode_filter(conjunctions[b])``.
+        """
+        table = conjunctions[0].table
+        lengths = {len(c.predicates) for c in conjunctions}
+        if len(lengths) > 1 or any(c.table != table for c in conjunctions):
+            raise ValueError("encode_filters needs filters on one table with one predicate count")
+        tokens, column_vectors = self._stacked_inputs(conjunctions)
+        return self.encoders[table](tokens, column_vectors)
+
     def encode_filter(self, conjunction: Conjunction) -> nn.Tensor:
         """``E(f(T_i))``: (1, d_model) encoding of a filtered table."""
-        tokens, column_ids = self.predicates.featurize_conjunction(conjunction)
-        column_vectors = self.column_embedding(column_ids)
-        return self.encoders[conjunction.table](tokens, column_vectors)
+        return self.encode_filters([conjunction])
 
     def predict_filter_selectivity(self, conjunction: Conjunction) -> nn.Tensor:
         """Log-selectivity prediction (Enc_i's training task)."""
-        tokens, column_ids = self.predicates.featurize_conjunction(conjunction)
-        column_vectors = self.column_embedding(column_ids)
+        tokens, column_vectors = self._stacked_inputs([conjunction])
         return self.encoders[conjunction.table].predict_log_selectivity(tokens, column_vectors)
 
     # ------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .beam import (
 from .config import ModelConfig
 from .encoders import DatabaseFeaturizer
 from .heads import EstimationHead
-from .serializer import plan_signature, serialize_plan
+from .serializer import filter_signature, plan_signature, serialize_plan
 from .shared import SharedRepresentation
 from .trans_jo import TransJO
 
@@ -281,10 +281,7 @@ class MTMLFQO(nn.Module):
         """
         d = self.config.d_model
         if node.is_scan:
-            filter_sig = None
-            if node.filter is not None:
-                filter_sig = (node.filter.table, tuple(str(p) for p in node.filter.predicates))
-            key = (db_name, "scan", node.table, filter_sig)
+            key = self._scan_key(db_name, node)
             cached = self._node_cache.get(key)
             if cached is not None:
                 return cached
@@ -309,6 +306,39 @@ class MTMLFQO(nn.Module):
         content[:half] = vectors.data.mean(axis=0)
         self._node_cache.put(key, content)
         return content
+
+    @staticmethod
+    def _scan_key(db_name: str, node: PlanNode) -> tuple:
+        """Node-cache key of a scan node's content."""
+        return (db_name, "scan", node.table, filter_signature(node.filter))
+
+    def _prefill_filter_encodings(self, db_name: str, items: list[LabeledQuery]) -> None:  # holds: _infer_lock
+        """Encode the uncached scan filters of ``items`` in stacked forwards.
+
+        A cold batch would otherwise run one tiny ``Enc_i`` forward per
+        distinct filter inside :meth:`_node_content`.  Here the filters
+        that miss the node cache are grouped by (table, predicate count)
+        and each group runs one ``encode_filters`` forward; the rows land
+        in the node cache under the keys ``_node_content`` looks up.  A
+        group never pads, so every row is bit-identical to the solo
+        encode (DESIGN.md section 3).  Inference only: training's
+        ``forward_batch`` keeps encoding node by node.
+        """
+        featurizer = self.featurizer_for(db_name)
+        groups: dict[tuple, dict[tuple, object]] = {}
+        for item in items:
+            for node in item.plan.nodes_preorder():
+                if not node.is_scan:
+                    continue
+                key = self._scan_key(db_name, node)
+                if key not in self._node_cache:
+                    group = (node.filter.table, len(node.filter.predicates))
+                    groups.setdefault(group, {})[key] = node.filter
+        for pending in groups.values():
+            with nn.no_grad():
+                encoded = featurizer.encode_filters(list(pending.values()))
+            for key, content in zip(pending, encoded.data):
+                self._node_cache.put(key, content)
 
     def encode_query(self, db_name: str, labeled: LabeledQuery) -> EncodedQuery:  # holds: _infer_lock
         """Run the (F) module on one query's plan.
@@ -440,6 +470,7 @@ class MTMLFQO(nn.Module):
         all_candidates: list[list[BeamCandidate]] = []
         for start in range(0, len(items), _INFERENCE_CHUNK):
             chunk = items[start: start + _INFERENCE_CHUNK]
+            self._prefill_filter_encodings(db_name, chunk)
             with nn.no_grad():
                 shared, _, encodings = self.forward_batch(db_name, chunk)
                 memories = [
@@ -570,7 +601,7 @@ class MTMLFQO(nn.Module):
         match.  Returns ``{entry index -> chosen order}``.
         """
         from ..optimizer.planner import plan_with_order
-        from ..optimizer.selectivity import HistogramEstimator
+        from ..optimizer.selectivity import HistogramEstimator, QueryEstimateMemo
 
         results: dict[int, list[str]] = {}
         if not entries:
@@ -582,10 +613,13 @@ class MTMLFQO(nn.Module):
             orders: list[list[str]] = []
             probes: list[LabeledQuery] = []
             favourite_planned = False
+            # Candidates of one query share most table subsets: estimate
+            # each once (bit-equal to the plain estimator).
+            memo = QueryEstimateMemo(estimator, labeled.query)
             for rank, candidate in enumerate(candidates):
                 order = candidate.tables(labeled.query.tables)
                 try:
-                    plan = plan_with_order(labeled.query, order, estimator)
+                    plan = plan_with_order(labeled.query, order, memo)
                 except ValueError:
                     continue
                 if rank == 0:

@@ -28,6 +28,7 @@ from ..nn.positional import TreePosition
 
 __all__ = [
     "serialize_plan",
+    "filter_signature",
     "plan_signature",
     "query_signature",
     "decoding_embeddings",
@@ -126,6 +127,20 @@ def serialize_plan(plan: PlanNode) -> tuple[list[PlanNode], list[TreePosition]]:
     return nodes, positions
 
 
+def filter_signature(conjunction) -> tuple | None:
+    """Structural signature of a scan filter (hashable, order-sensitive).
+
+    ``(table, predicate strings in order)``, or None for a missing
+    filter.  It is the filter part of :func:`plan_signature` and of the
+    model's scan-node content key, so a filter encoded ahead of time
+    (the stacked ``Enc_i`` prefill) is found under the key the node
+    assembler looks up.
+    """
+    if conjunction is None:
+        return None
+    return (conjunction.table, tuple(str(p) for p in conjunction.predicates))
+
+
 def plan_signature(plan: PlanNode) -> tuple:
     """Structural signature of a plan tree (hashable, order-sensitive).
 
@@ -137,14 +152,11 @@ def plan_signature(plan: PlanNode) -> tuple:
     share one cached encoding, regardless of object identity.
     """
     if plan.is_scan:
-        filter_sig = None
-        if plan.filter is not None:
-            filter_sig = (plan.filter.table, tuple(str(p) for p in plan.filter.predicates))
         return (
             "scan",
             plan.table,
             plan.scan_op.value if plan.scan_op else None,
-            filter_sig,
+            filter_signature(plan.filter),
         )
     return (
         "join",

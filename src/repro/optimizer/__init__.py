@@ -8,11 +8,17 @@ optimal-order oracle standing in for the paper's ECQO program.
 from .join_enum import PlannedQuery, dp_join_enumeration, greedy_join_order
 from .optimal import optimal_join_order, optimal_plan
 from .planner import PostgresStylePlanner, plan_with_order
-from .selectivity import CardinalityEstimator, HistogramEstimator, TrueCardinalityOracle
+from .selectivity import (
+    CardinalityEstimator,
+    HistogramEstimator,
+    QueryEstimateMemo,
+    TrueCardinalityOracle,
+)
 
 __all__ = [
     "CardinalityEstimator",
     "HistogramEstimator",
+    "QueryEstimateMemo",
     "TrueCardinalityOracle",
     "dp_join_enumeration",
     "greedy_join_order",

@@ -30,7 +30,12 @@ from ..sql.predicates import (
 from ..sql.query import Query
 from ..storage.catalog import Database
 
-__all__ = ["CardinalityEstimator", "HistogramEstimator", "TrueCardinalityOracle"]
+__all__ = [
+    "CardinalityEstimator",
+    "HistogramEstimator",
+    "QueryEstimateMemo",
+    "TrueCardinalityOracle",
+]
 
 # PostgreSQL's default pattern selectivities (utils/adt/selfuncs.h).
 _DEFAULT_MATCH_SEL = 0.005
@@ -106,9 +111,13 @@ class HistogramEstimator(CardinalityEstimator):
         return 1.0 / ndv
 
     def estimate(self, query: Query, subset: frozenset) -> float:
+        return self._subset_rows(query, subset, lambda table: self.scan_rows(query, table))
+
+    def _subset_rows(self, query: Query, subset: frozenset, scan_rows) -> float:
+        """Independence product over ``subset``, in its iteration order."""
         rows = 1.0
         for table in subset:
-            rows *= max(self.scan_rows(query, table), 0.0)
+            rows *= max(scan_rows(table), 0.0)
         for join in query.joins:
             if join.left in subset and join.right in subset:
                 rows *= self.join_selectivity(join)
@@ -116,6 +125,46 @@ class HistogramEstimator(CardinalityEstimator):
 
     def base_rows(self, table: str) -> float:
         return float(self.db.statistics(table).num_rows)
+
+
+class QueryEstimateMemo(CardinalityEstimator):
+    """One query's :class:`HistogramEstimator` estimates, each computed once.
+
+    Planning many join orders of one query (the cost rerank's beam
+    candidates) asks for the same table scans and the same subsets over
+    and over.  The memo keeps ``scan_rows`` per table and ``estimate``
+    per subset for the one query it was built for.  It computes a miss
+    with the estimator's own product, so every float is bit-equal to a
+    fresh estimator's (DESIGN.md section 3).
+
+    Subsets are keyed by their iteration order, not by set equality:
+    two equal frozensets built in different insertion orders may iterate
+    differently, and the product of the scan rows follows that order.
+    """
+
+    def __init__(self, estimator: HistogramEstimator, query: Query):
+        self.estimator = estimator
+        self.query = query
+        self._scan_rows: dict[str, float] = {}
+        self._estimates: dict[tuple, float] = {}
+
+    def scan_rows(self, table: str) -> float:
+        rows = self._scan_rows.get(table)
+        if rows is None:
+            rows = self._scan_rows[table] = self.estimator.scan_rows(self.query, table)
+        return rows
+
+    def estimate(self, query: Query, subset: frozenset) -> float:
+        if query is not self.query:
+            raise ValueError("QueryEstimateMemo serves only the query it was built for")
+        key = tuple(subset)
+        rows = self._estimates.get(key)
+        if rows is None:
+            rows = self._estimates[key] = self.estimator._subset_rows(query, subset, self.scan_rows)
+        return rows
+
+    def base_rows(self, table: str) -> float:
+        return self.estimator.base_rows(table)
 
 
 class TrueCardinalityOracle(CardinalityEstimator):

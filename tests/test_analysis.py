@@ -362,6 +362,15 @@ def train(model, batch):
             GradModeChecker(scopes=self.SCOPES), source, "pkg/core/trainer.py"
         ) == []
 
+    def test_default_scopes_cover_the_stacked_filter_prefill(self):
+        source = """
+class MTMLFQO:
+    def _prefill_filter_encodings(self, featurizer, pending):
+        return featurizer.encode_filters(pending)
+"""
+        findings = run_checker(GradModeChecker(), source, "repro/core/model.py")
+        assert len(findings) == 1 and "encode_filters" in findings[0].message
+
 
 # ---------------------------------------------------------------------------
 # raw-kernel (dual-mode substrate invariant)
