@@ -19,7 +19,7 @@ from .hygiene import (
 )
 from .lock_discipline import EntryLockRule, LockDisciplineChecker
 from .obs_discipline import ObsDisciplineChecker
-from .shapes import DtypeChecker, DualModeParityChecker, ShapeChecker
+from .shapes import DtypeChecker, ShapeChecker
 
 __all__ = [
     "Checker",
@@ -37,7 +37,6 @@ __all__ = [
     "ObsDisciplineChecker",
     "ShapeChecker",
     "DtypeChecker",
-    "DualModeParityChecker",
     "all_checkers",
 ]
 
@@ -56,5 +55,4 @@ def all_checkers() -> list[Checker]:
         ObsDisciplineChecker(),
         ShapeChecker(),
         DtypeChecker(),
-        DualModeParityChecker(),
     ]

@@ -21,7 +21,10 @@ complete :class:`~repro.core.model.MTMLFQO` —
 Durability and integrity: files are written atomically (tmp +
 ``os.replace`` via :func:`repro.nn.serialize.atomic_savez`) and carry a
 SHA-256 digest over all array payloads; a truncated, corrupted or
-non-checkpoint file raises :class:`CheckpointError` on load.
+non-checkpoint file raises :class:`CheckpointError` on load.  The digest
+does not cover the metadata, so load validates its shape and types and
+reports a malformed one as :class:`CheckpointError` too — no other
+exception type crosses this boundary.
 
 Round trips are bit-exact: a loaded model produces byte-identical
 join orders and cardinality/cost predictions (``tests/test_checkpoint.py``
@@ -163,6 +166,8 @@ def _read_archive(
         meta = json.loads(bytes(meta_raw).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise CheckpointError(f"corrupt checkpoint metadata in {path!r}: {error}") from error
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"corrupt checkpoint metadata in {path!r}: not a JSON object")
     if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint format version {meta.get('format_version')!r} "
@@ -190,6 +195,44 @@ def _databases_by_name(databases) -> dict[str, Database]:
     return {db.name: db for db in databases}
 
 
+def _config_from_meta(meta: dict, path: str) -> ModelConfig:
+    """The saved :class:`ModelConfig`, every field checked against the
+    type of its default (an int field takes a non-negative int — they
+    are sizes, counts and seeds — and a float field an int or float)."""
+    raw = meta.get("config")
+    if not isinstance(raw, dict):
+        raise CheckpointError(f"checkpoint {path!r} metadata has no config object")
+    fields = {field.name: field.default for field in dataclasses.fields(ModelConfig)}
+    for name, value in raw.items():
+        if name not in fields:
+            raise CheckpointError(f"checkpoint {path!r} config has unknown field {name!r}")
+        kinds = (int, float) if isinstance(fields[name], float) else (type(fields[name]),)
+        if isinstance(value, bool) or not isinstance(value, kinds) or (kinds == (int,) and value < 0):
+            raise CheckpointError(
+                f"checkpoint {path!r} config field {name!r} is {value!r}, "
+                f"not a valid {type(fields[name]).__name__}"
+            )
+    return ModelConfig(**raw)
+
+
+def _schemas_from_meta(meta: dict, path: str) -> dict[str, tuple]:
+    """``{db_name: schema signature}`` of the saved featurizers."""
+    saved = meta.get("featurizers")
+    if not isinstance(saved, dict):
+        raise CheckpointError(f"checkpoint {path!r} metadata has no featurizers object")
+    schemas = {}
+    for db_name, entry in saved.items():
+        schema = entry.get("schema") if isinstance(entry, dict) else None
+        if not isinstance(schema, list) or not all(
+            isinstance(item, list) and len(item) == 2 and isinstance(item[0], str)
+            and isinstance(item[1], list) and all(isinstance(c, str) for c in item[1])
+            for item in schema
+        ):
+            raise CheckpointError(f"checkpoint {path!r} has a malformed schema for {db_name!r}")
+        schemas[db_name] = tuple((table, tuple(columns)) for table, columns in schema)
+    return schemas
+
+
 def load_checkpoint(path: str, databases=None) -> MTMLFQO:
     """Rebuild the full model saved by :func:`save_checkpoint`.
 
@@ -204,8 +247,13 @@ def load_checkpoint(path: str, databases=None) -> MTMLFQO:
     orders, same cardinality/cost predictions.
     """
     meta, arrays = _read_archive(path, verify_digest=True)
+    config = _config_from_meta(meta, path)
+    schemas = _schemas_from_meta(meta, path)
+    version = meta.get("model_version")
+    if isinstance(version, bool) or not isinstance(version, int):
+        raise CheckpointError(f"checkpoint {path!r} model_version is {version!r}, not an int")
     by_name = _databases_by_name(databases)
-    saved_dbs = sorted(meta["featurizers"])
+    saved_dbs = sorted(schemas)
     missing = [name for name in saved_dbs if name not in by_name]
     if missing:
         raise CheckpointError(
@@ -213,8 +261,11 @@ def load_checkpoint(path: str, databases=None) -> MTMLFQO:
             f"Database was provided for {missing}; pass them via `databases`"
         )
 
-    config = ModelConfig(**meta["config"])
-    model = MTMLFQO(config)
+    try:
+        with np.errstate(all="raise"):  # e.g. a zero head_dim's 1/sqrt(0)
+            model = MTMLFQO(config)
+    except (TypeError, ValueError, ArithmeticError) as error:
+        raise CheckpointError(f"checkpoint {path!r} config builds no model: {error}") from error
     model_state = {
         name[len(_MODEL_PREFIX):]: value
         for name, value in arrays.items()
@@ -226,10 +277,14 @@ def load_checkpoint(path: str, databases=None) -> MTMLFQO:
         raise CheckpointError(f"incompatible (S)/(T) state: {error}") from error
 
     for db_name in saved_dbs:
-        featurizer = DatabaseFeaturizer(by_name[db_name], config)
-        saved_schema = tuple(
-            (table, tuple(columns)) for table, columns in meta["featurizers"][db_name]["schema"]
-        )
+        try:
+            with np.errstate(all="raise"):
+                featurizer = DatabaseFeaturizer(by_name[db_name], config)
+        except (TypeError, ValueError, ArithmeticError) as error:
+            raise CheckpointError(
+                f"checkpoint {path!r} config builds no featurizer for {db_name!r}: {error}"
+            ) from error
+        saved_schema = schemas[db_name]
         if featurizer.schema_signature() != saved_schema:
             raise CheckpointError(
                 f"database {db_name!r} does not match the checkpointed schema: "
@@ -253,7 +308,7 @@ def load_checkpoint(path: str, databases=None) -> MTMLFQO:
     model.eval()
     # Restore last: attach_featurizer bumps the counter during rebuild,
     # and serving caches key on it — the saved identity must win.
-    model.restore_version(meta["model_version"])
+    model.restore_version(version)
     return model
 
 
@@ -269,13 +324,13 @@ def load_optimizer_state(path: str, optimizer: Adam) -> Adam:
     saved = meta.get("optimizer")
     if saved is None:
         raise CheckpointError(f"checkpoint {path!r} carries no optimizer state")
-    state = {
-        "t": saved["t"],
-        "m": {key: arrays[f"{_OPTIM_PREFIX}m/{key}"] for key in saved["keys"]},
-        "v": {key: arrays[f"{_OPTIM_PREFIX}v/{key}"] for key in saved["keys"]},
-    }
     try:
+        state = {
+            "t": saved["t"],
+            "m": {key: arrays[f"{_OPTIM_PREFIX}m/{key}"] for key in saved["keys"]},
+            "v": {key: arrays[f"{_OPTIM_PREFIX}v/{key}"] for key in saved["keys"]},
+        }
         optimizer.load_state_dict(state)
-    except ValueError as error:
-        raise CheckpointError(str(error)) from error
+    except (KeyError, TypeError, ValueError) as error:
+        raise CheckpointError(f"checkpoint {path!r} has unusable optimizer state: {error}") from error
     return optimizer

@@ -11,10 +11,10 @@ predicate featurizer, a per-DB column embedding, one ``Enc_i`` per
 table, and the selectivity training head.  This is the (F) module the
 paper retrains per database while (S)/(T) transfer.
 
-The encoders are built from dual-mode ``repro.nn`` layers (DESIGN.md
-section 11): under serving's ``nn.no_grad()`` their forwards dispatch
-to the no-tape raw-ndarray kernels automatically, bit-identical to the
-tape path — nothing here needs to know which mode it runs in.
+The encoders are built from ``repro.nn`` layers (DESIGN.md section
+11): under serving's ``nn.no_grad()`` the same forwards simply skip
+recording, with bit-identical outputs — nothing here needs to know
+which mode it runs in.
 """
 
 from __future__ import annotations

@@ -68,25 +68,18 @@ class TransJO(nn.Module):
         ``memory`` is (1, m, d): the single-table representations.
         ``prefix_positions`` are the positions already emitted; the
         decoder input is [start, S_{p1}, ..., S_{pt}].  ``kv_cache``
-        (fast path only) amortizes the memory's cross-attention K/V and
-        pointer-key projections across the steps of one beam search.
+        amortizes the memory's cross-attention K/V and pointer-key
+        projections across the steps of one beam search.
         """
-        if nn.no_tape_active():
-            memory_kv, pointer_keys = self.infer_memory_kv(memory, kv_cache)
-            return nn.Tensor._wrap(
-                self.infer_step_logits(
-                    memory.data, prefix_positions, memory_kv=memory_kv, pointer_keys=pointer_keys
-                )
-            )
+        memory_kv, pointer_keys = (None, None) if kv_cache is None else self.memory_kv(memory, kv_cache)
         inputs = [self.start_token.reshape(1, 1, -1)]
         for position in prefix_positions:
             inputs.append(memory[:, position: position + 1, :])
         x = nn.functional.concat(inputs, axis=1) if len(inputs) > 1 else inputs[0]
-        hidden = self.decoder(x, memory)          # (1, t+1, d)
+        hidden = self.decoder(x, memory, memory_kv=memory_kv)  # (1, t+1, d)
         last = hidden[:, -1, :]                   # (1, d)
-        keys = self.pointer_proj(memory)          # (1, m, d)
-        logits = keys.matmul(last.reshape(-1, 1)).reshape(-1) * self.logit_scale  # (m,)
-        return logits
+        keys = self.pointer_proj(memory) if pointer_keys is None else pointer_keys  # (1, m, d)
+        return keys.matmul(last.reshape(-1, 1)).reshape(-1) * self.logit_scale  # (m,)
 
     @shape_spec(inputs={"memory": "(B, m, d_model)"},
                 out="(B, m)",
@@ -94,8 +87,12 @@ class TransJO(nn.Module):
     def step_logits_batch(
         self,
         memory: nn.Tensor,
-        prefixes: list[list[int]],
+        prefixes,
         memory_padding_mask: np.ndarray | None = None,
+        memory_kv=None,
+        pointer_keys: nn.Tensor | None = None,
+        scratch=None,
+        start_block: nn.Tensor | None = None,
     ) -> nn.Tensor:
         """Next-timestamp logits for a whole batch of prefixes at once.
 
@@ -104,10 +101,21 @@ class TransJO(nn.Module):
         ``prefixes`` may be ragged; shorter rows are padded (the causal
         self-attention mask keeps pad slots from influencing the read
         position) and each row's logits are taken at its own last real
-        timestamp.  ``memory_padding_mask`` is (B, m) boolean, True at
-        padded table slots when queries of different table counts share
-        the batch; those slots are excluded from cross-attention and
-        their pointer logits forced to -1e9.
+        timestamp.  From the lockstep beam driver, where every row has
+        the same length, ``prefixes`` is instead a dense ``(B, t)``
+        int64 matrix — exactly what ``pad_index_sequences`` would build.
+        ``memory_padding_mask`` is (B, m) boolean, True at padded table
+        slots when queries of different table counts share the batch;
+        those slots are excluded from cross-attention and their pointer
+        logits forced to -1e9.
+
+        The decode-only arguments come from the beam driver:
+        ``memory_kv``/``pointer_keys`` take batched projections (see
+        :meth:`concat_memory_kv`) so the memory is not re-projected each
+        step; ``scratch`` is a session arena for kernel outputs; and
+        ``start_block`` is the broadcast start-token block, which
+        depends only on the batch size and so can be reused across the
+        steps of one decode.
 
         Returns (B, m) pointer logits — one decoder forward for what
         :meth:`step_logits` would need B calls to produce.
@@ -115,34 +123,44 @@ class TransJO(nn.Module):
         batch, m, _ = memory.shape
         if len(prefixes) != batch:
             raise ValueError(f"{len(prefixes)} prefixes for a memory batch of {batch}")
-        if nn.no_tape_active():
-            return nn.Tensor._wrap(
-                self.infer_step_logits_batch(
-                    memory.data, prefixes, memory_padding_mask=memory_padding_mask
-                )
-            )
-        indices, lengths = nn.functional.pad_index_sequences(prefixes)
+        if isinstance(prefixes, np.ndarray):
+            indices = prefixes
+            lengths = np.full(batch, indices.shape[1], dtype=np.int64)
+        else:
+            indices, lengths = nn.functional.pad_index_sequences(prefixes)
         rows = np.arange(batch)
-        start = nn.functional.repeat_batch(self.start_token.reshape(1, 1, -1), batch)
+        start = start_block
+        if start is None:
+            start = nn.functional.repeat_batch(self.start_token.reshape(1, 1, -1), batch)
         if indices.shape[1]:
             gathered = memory[rows[:, None], indices]  # (B, Tmax, d)
             x = nn.functional.concat([start, gathered], axis=1)
         else:
             x = start
-        hidden = self.decoder(x, memory, memory_padding_mask=memory_padding_mask)
+        hidden = self.decoder(
+            x,
+            memory,
+            memory_padding_mask=memory_padding_mask,
+            memory_kv=memory_kv,
+            scratch=scratch,
+            tag="jo",
+        )
         last = hidden[rows, lengths]              # (B, d): each row's last real step
-        keys = self.pointer_proj(memory)          # (B, m, d)
+        keys = self.pointer_proj(memory) if pointer_keys is None else pointer_keys  # (B, m, d)
         logits = keys.matmul(last.reshape(batch, -1, 1)).reshape(batch, m) * self.logit_scale
         if memory_padding_mask is not None:
             logits = nn.functional.masked_fill(logits, memory_padding_mask, -1e9)
         return logits
 
+    # The name the repo benchmark (perfbench/layers.py) wraps to time and
+    # count decode steps; the beam driver calls the method through it.
+    infer_step_logits_batch = step_logits_batch
+
     # ------------------------------------------------------------------
-    # No-tape fast path.  The beam driver calls these directly (under
-    # ``nn.no_grad``) so it can thread a per-decode KV cache and a
-    # session scratch arena through every step.
+    # Per-decode projections, threaded by the beam driver (under
+    # ``nn.no_grad``) through every step of a decode.
     # ------------------------------------------------------------------
-    def infer_memory_kv(self, memory, kv_cache: "nn.KVCache | None" = None):
+    def memory_kv(self, memory: nn.Tensor, kv_cache: "nn.KVCache | None" = None):
         """Per-decode projections of one (1, m, d) encoder memory.
 
         Returns ``(memory_kv, pointer_keys)``: the per-layer
@@ -154,11 +172,7 @@ class TransJO(nn.Module):
         and is rejected loudly.
         """
         def project():
-            mem = memory.data if isinstance(memory, nn.Tensor) else np.asarray(memory)
-            return (
-                self.decoder.infer_project_memory_kv(mem),
-                self.pointer_proj.infer_forward(mem),
-            )
+            return self.decoder.project_memory_kv(memory), self.pointer_proj(memory)
 
         if kv_cache is None:
             return project()
@@ -170,22 +184,25 @@ class TransJO(nn.Module):
     def concat_memory_kv(per_query, counts: list[int]):
         """Assemble batched projections from per-query cached ones.
 
-        ``per_query[i]`` is :meth:`infer_memory_kv` output for query i,
+        ``per_query[i]`` is :meth:`memory_kv` output for query i,
         ``counts[i]`` its number of active beams.  Each query's (1, ...)
         projections are broadcast to its beam count and concatenated —
         bit-identical to projecting the batched memory directly, because
         numpy's batched matmul computes each row as the same 2D product
-        the single-row projection performs.
+        the single-row projection performs.  Inputs and outputs are
+        constants of the decode: nothing here is recorded.
         """
         # ``concatenate`` over stride-0 broadcast views can emit a
         # non-C-contiguous result; force C order so the assembled arrays
         # have exactly the strides of directly-projected ones (BLAS
         # rounding depends on operand layout, and parity is bitwise).
-        def broadcast_concat(arrays):
-            return np.ascontiguousarray(
-                np.concatenate(
-                    [np.broadcast_to(a, (n,) + a.shape[1:]) for a, n in zip(arrays, counts)],
-                    axis=0,
+        def broadcast_concat(tensors):
+            return nn.Tensor(
+                np.ascontiguousarray(
+                    np.concatenate(
+                        [np.broadcast_to(t.data, (n,) + t.shape[1:]) for t, n in zip(tensors, counts)],
+                        axis=0,
+                    )
                 )
             )
 
@@ -199,87 +216,6 @@ class TransJO(nn.Module):
         ]
         pointer_keys = broadcast_concat([keys for _, keys in per_query])
         return memory_kv, pointer_keys
-
-    @shape_spec(inputs={"memory": "(1, m, d_model)"},
-                out="(m,)",
-                params=("start_token", "decoder", "pointer_proj"))
-    def infer_step_logits(
-        self,
-        memory: np.ndarray,
-        prefix_positions: list[int],
-        memory_kv=None,
-        pointer_keys: np.ndarray | None = None,
-        scratch=None,
-    ) -> np.ndarray:
-        """No-tape mirror of :meth:`step_logits` on raw ndarrays."""
-        inputs = [self.start_token.data.reshape(1, 1, -1)]
-        for position in prefix_positions:
-            inputs.append(memory[:, position: position + 1, :])
-        x = np.concatenate(inputs, axis=1) if len(inputs) > 1 else inputs[0]
-        hidden = self.decoder.infer_forward(x, memory, memory_kv=memory_kv, scratch=scratch, tag="jo")
-        last = hidden[:, -1, :]
-        keys = pointer_keys if pointer_keys is not None else self.pointer_proj.infer_forward(memory)
-        return np.matmul(keys, last.reshape(-1, 1)).reshape(-1) * self.logit_scale
-
-    @shape_spec(inputs={"memory": "(B, m, d_model)"},
-                out="(B, m)",
-                params=("start_token", "decoder", "pointer_proj"))
-    def infer_step_logits_batch(
-        self,
-        memory: np.ndarray,
-        prefixes,
-        memory_padding_mask: np.ndarray | None = None,
-        memory_kv=None,
-        pointer_keys: np.ndarray | None = None,
-        scratch=None,
-        start_block: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """No-tape mirror of :meth:`step_logits_batch`.
-
-        ``memory_kv``/``pointer_keys`` take batched projections (see
-        :meth:`concat_memory_kv`); when omitted they are projected from
-        ``memory`` in place, which is still tape-free but repays the
-        per-step projection cost the KV cache exists to remove.
-
-        ``prefixes`` may be the usual ragged list of lists, or — from the
-        lockstep beam driver, where every row has the same length — a
-        dense ``(B, t)`` int64 matrix, which skips the pad/repack (the
-        dense matrix is exactly what ``pad_index_sequences`` would
-        build).  ``start_block`` optionally supplies the broadcast
-        start-token block, which depends only on the batch size and so
-        can be reused across the steps of one decode.
-        """
-        batch, m, _ = memory.shape
-        if isinstance(prefixes, np.ndarray):
-            indices = prefixes
-            lengths = np.full(batch, indices.shape[1], dtype=np.int64)
-        else:
-            indices, lengths = nn.functional.pad_index_sequences(prefixes)
-        rows = np.arange(batch)
-        start = start_block
-        if start is None:
-            start = np.ascontiguousarray(
-                np.broadcast_to(self.start_token.data.reshape(1, 1, -1), (batch, 1, self.config.d_model))
-            )
-        if indices.shape[1]:
-            gathered = memory[rows[:, None], indices]  # (B, Tmax, d)
-            x = np.concatenate([start, gathered], axis=1)
-        else:
-            x = start
-        hidden = self.decoder.infer_forward(
-            x,
-            memory,
-            memory_padding_mask=memory_padding_mask,
-            memory_kv=memory_kv,
-            scratch=scratch,
-            tag="jo",
-        )
-        last = hidden[rows, lengths]              # (B, d): each row's last real step
-        keys = pointer_keys if pointer_keys is not None else self.pointer_proj.infer_forward(memory)
-        logits = np.matmul(keys, last.reshape(batch, -1, 1)).reshape(batch, m) * self.logit_scale
-        if memory_padding_mask is not None:
-            logits = nn.kernels.masked_fill(logits, memory_padding_mask, -1e9)
-        return logits
 
     @shape_spec(inputs={"memory": "(1, m, d_model)"},
                 out="(m, m)",

@@ -16,16 +16,13 @@ from .optim import SGD, Adam, clip_grad_norm
 from .positional import TreePosition, sinusoidal_encoding, tree_path_encoding
 from .serialize import load_module, save_module
 from .spec import shape_spec
-from .tensor import Tensor, fastpath_enabled, force_tape, is_grad_enabled, no_grad, no_tape_active
+from .tensor import Tensor, is_grad_enabled, no_grad
 from .transformer import TransformerDecoder, TransformerDecoderLayer, TransformerEncoder, TransformerEncoderLayer
 
 __all__ = [
     "Tensor",
     "no_grad",
     "is_grad_enabled",
-    "fastpath_enabled",
-    "no_tape_active",
-    "force_tape",
     "functional",
     "kernels",
     "KVCache",

@@ -4,23 +4,20 @@ Supports optional boolean masks (True = position masked out), which the
 MTMLF-QO model uses both for padding in batched plan sequences and for
 the causal mask inside the ``Trans_JO`` decoder.
 
-Dual-mode: :meth:`MultiHeadAttention.forward` runs the tape path;
-:meth:`MultiHeadAttention.infer_forward` is the raw-ndarray mirror used
-when no tape is recorded.  Cross-attention over a *static* key/value
-source (the decoder reading a fixed encoder memory) can skip its K/V
-projections entirely by passing precomputed ``static_kv`` — see
-:class:`KVCache`, which owns those projections for one decode.
+Cross-attention over a *static* key/value source (the decoder reading a
+fixed encoder memory) can skip its K/V projections entirely by passing
+precomputed ``static_kv`` — see :class:`KVCache`, which owns those
+projections for one decode.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
-from .functional import masked_fill, softmax
+from . import functional as F
 from .layers import Dropout, Linear, Module
 from .spec import shape_spec
-from .tensor import Tensor, no_tape_active
+from .tensor import Tensor
 
 __all__ = ["MultiHeadAttention", "causal_mask", "KVCache"]
 
@@ -120,8 +117,8 @@ class MultiHeadAttention(Module):
         self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
-        # Same value both paths compute per call; hoisted because a
-        # np.sqrt call per attention forward is measurable at decode.
+        # Hoisted because a np.sqrt call per attention forward is
+        # measurable at decode.
         self.scale = 1.0 / np.sqrt(self.head_dim)
         self.q_proj = Linear(dim, dim, rng=rng)
         self.k_proj = Linear(dim, dim, rng=rng)
@@ -147,8 +144,7 @@ class MultiHeadAttention(Module):
         key_padding_mask: np.ndarray | None,
         scores_shape: tuple,
     ) -> np.ndarray | None:
-        """Broadcast/merge the masks, guarding fully-masked rows (shared
-        by both paths so the float behaviour is identical)."""
+        """Broadcast/merge the masks, guarding fully-masked rows."""
         mask = None
         if attn_mask is not None:
             mask = np.asarray(attn_mask, dtype=bool)[None, None, :, :]
@@ -162,87 +158,31 @@ class MultiHeadAttention(Module):
         all_masked = mask.all(axis=-1, keepdims=True)
         return mask & ~all_masked
 
-    @shape_spec(inputs={"query": "(B, L_q, dim)",
-                        "key": "(B, L_k, dim)",
-                        "value": "(B, L_k, dim)"},
-                out="(B, L_q, dim)",
-                params=("q_proj", "k_proj", "v_proj", "out_proj"))
-    def forward(
-        self,
-        query: Tensor,
-        key: Tensor | None = None,
-        value: Tensor | None = None,
-        attn_mask: np.ndarray | None = None,
-        key_padding_mask: np.ndarray | None = None,
-    ) -> Tensor:
-        """Attend ``query`` over ``key``/``value`` (self-attention if omitted).
-
-        ``attn_mask`` is (Lq, Lk) boolean; ``key_padding_mask`` is
-        (batch, Lk) boolean.  True entries are excluded from attention.
-        """
-        if no_tape_active():
-            key_nd = None if key is None else key.data
-            value_nd = None if value is None else value.data
-            return Tensor._wrap(
-                self.infer_forward(
-                    query.data,
-                    key_nd,
-                    value_nd,
-                    attn_mask=attn_mask,
-                    key_padding_mask=key_padding_mask,
-                )
-            )
-        key = query if key is None else key
-        value = key if value is None else value
-
-        q = self._split_heads(self.q_proj(query))
-        k = self._split_heads(self.k_proj(key))
-        v = self._split_heads(self.v_proj(value))
-
-        scores = q.matmul(k.swapaxes(-1, -2)) * self.scale  # (B, H, Lq, Lk)
-
-        mask = self._combined_mask(attn_mask, key_padding_mask, scores.shape)
-        if mask is not None:
-            scores = masked_fill(scores, mask, -1e9)
-
-        weights = softmax(scores, axis=-1)
-        weights = self.dropout(weights)
-        attended = weights.matmul(v)
-        return self.out_proj(self._merge_heads(attended))
-
-    # ------------------------------------------------------------------
-    # No-tape fast path
-    # ------------------------------------------------------------------
-    @shape_spec(inputs={"x": "(B, L, dim)"},
-                out="(B, num_heads, L, head_dim)")
-    def _split_heads_nd(self, x: np.ndarray) -> np.ndarray:
-        batch, seq, _ = x.shape
-        return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
-
-    @shape_spec(inputs={"key": "(B, L_k, dim)"},
+    @shape_spec(inputs={"key": "(B, L_k, dim)", "value": "(B, L_k, dim)"},
                 out=("(B, L_k, num_heads, head_dim)",
                      "(B, L_k, num_heads, head_dim)"),
                 params=("k_proj", "v_proj"))
-    def infer_project_kv(self, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split-head K/V projections of a static key/value source.
+    def project_kv(self, key: Tensor, value: Tensor | None = None) -> tuple[Tensor, Tensor]:
+        """Split-head K/V projections of ``key`` and ``value`` (default: ``key``).
 
         This is the entry :class:`KVCache` memoizes: for cross-attention
         over an unchanging encoder memory, the returned pair is valid
         for every decoder step of the decode.
 
         Layout: ``(batch, Lk, heads, head_dim)`` — the *pre-transpose*
-        head split, not the ``(batch, heads, Lk, head_dim)`` the scores
-        matmul consumes.  :meth:`infer_forward` applies the same
-        transpose-view the inline projection uses, so the cached and
+        head split, not the ``(batch, heads, ...)`` views the matmuls
+        consume.  :meth:`forward` projects inline K/V through this method
+        too and takes the same transpose views of either, so cached and
         inline operands have identical strides and BLAS produces
         bit-identical scores.  (A C-contiguous copy of the transposed
         layout holds the same values but can round differently.)  It
         also lets callers concatenate cached projections along axis 0
         without disturbing the layout.
         """
+        value = key if value is None else value
         batch, seq, _ = key.shape
-        k = self.k_proj.infer_forward(key).reshape(batch, seq, self.num_heads, self.head_dim)
-        v = self.v_proj.infer_forward(key).reshape(batch, seq, self.num_heads, self.head_dim)
+        k = self.k_proj(key).reshape(batch, seq, self.num_heads, self.head_dim)
+        v = self.v_proj(value).reshape(batch, seq, self.num_heads, self.head_dim)
         return k, v
 
     @shape_spec(inputs={"query": "(B, L_q, dim)",
@@ -252,39 +192,37 @@ class MultiHeadAttention(Module):
                                       "(B, L_k, num_heads, head_dim)")},
                 out="(B, L_q, dim)",
                 params=("q_proj", "k_proj", "v_proj", "out_proj"))
-    def infer_forward(
+    def forward(
         self,
-        query: np.ndarray,
-        key: np.ndarray | None = None,
-        value: np.ndarray | None = None,
+        query: Tensor,
+        key: Tensor | None = None,
+        value: Tensor | None = None,
         attn_mask: np.ndarray | None = None,
         key_padding_mask: np.ndarray | None = None,
-        static_kv: tuple[np.ndarray, np.ndarray] | None = None,
+        static_kv: tuple[Tensor, Tensor] | None = None,
         scratch=None,
         tag: str = "",
-    ) -> np.ndarray:
-        """Raw-ndarray mirror of :meth:`forward` (dropout is identity).
+    ) -> Tensor:
+        """Attend ``query`` over ``key``/``value`` (self-attention if omitted).
 
+        ``attn_mask`` is (Lq, Lk) boolean; ``key_padding_mask`` is
+        (batch, Lk) boolean.  True entries are excluded from attention.
         ``static_kv`` supplies precomputed split-head K/V (from
-        :meth:`infer_project_kv`, usually via a :class:`KVCache`),
-        skipping the K/V projections; callers must pass projections of
-        the same key/value source they would otherwise pass as arrays.
+        :meth:`project_kv`, usually via a :class:`KVCache`) in place of
+        projecting ``key``/``value``; callers must pass projections of
+        the same source they would otherwise pass.  ``scratch``/``tag``
+        name output buffers for the hot matmuls when not recording.
         """
-        if static_kv is not None:
-            k_raw, v_raw = static_kv  # (B, Lk, H, hd): see infer_project_kv
-            k = k_raw.transpose(0, 2, 1, 3)
-            v = v_raw.transpose(0, 2, 1, 3)
-        else:
+        if static_kv is None:
             key = query if key is None else key
-            value = key if value is None else value
-            k = self._split_heads_nd(kernels.linear(key, self.k_proj.weight.data, self.k_proj.bias.data))
-            v = self._split_heads_nd(kernels.linear(value, self.v_proj.weight.data, self.v_proj.bias.data))
-        q = self._split_heads_nd(
-            kernels.linear(query, self.q_proj.weight.data, self.q_proj.bias.data, scratch=scratch, tag=tag + ".q")
-        )
+            static_kv = self.project_kv(key, value)
+        k_raw, v_raw = static_kv  # (B, Lk, H, hd): see project_kv
+        keys_t = k_raw.transpose((0, 2, 3, 1))  # (B, H, hd, Lk)
+        v = v_raw.transpose((0, 2, 1, 3))  # (B, H, Lk, hd)
+        q = self._split_heads(self.q_proj(query, scratch=scratch, tag=tag + ".q"))
 
-        scores = kernels.matmul(q, k.swapaxes(-1, -2), scratch=scratch, tag=tag + ".scores")
-        np.multiply(scores, self.scale, out=scores)  # same bits, no fresh array
+        scores = F.matmul(q, keys_t, scratch=scratch, tag=tag + ".scores")
+        scores = scores * self.scale  # (B, H, Lq, Lk)
 
         if (
             key_padding_mask is None
@@ -298,9 +236,8 @@ class MultiHeadAttention(Module):
         else:
             mask = self._combined_mask(attn_mask, key_padding_mask, scores.shape)
         if mask is not None:
-            scores = kernels.masked_fill(scores, mask, -1e9)
+            scores = F.masked_fill(scores, mask, -1e9)
 
-        weights = kernels.softmax(scores, axis=-1)
-        attended = kernels.matmul(weights, v, scratch=scratch, tag=tag + ".attended")
-        merged = attended.transpose(0, 2, 1, 3).reshape(query.shape[0], query.shape[1], self.dim)
-        return kernels.linear(merged, self.out_proj.weight.data, self.out_proj.bias.data)
+        weights = self.dropout(F.softmax(scores, axis=-1))
+        attended = F.matmul(weights, v, scratch=scratch, tag=tag + ".attended")
+        return self.out_proj(self._merge_heads(attended))

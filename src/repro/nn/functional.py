@@ -1,9 +1,25 @@
 """Functional operations on :class:`repro.nn.Tensor`.
 
-These free functions complement the methods on ``Tensor`` with
-operations that combine several tensors (``concat``, ``stack``,
-``where``) or that are numerically specialised (``softmax``,
-``log_softmax``, ``gelu``).
+The differentiable ops with a numeric kernel — ``matmul``, ``linear``,
+``layer_norm``, ``relu``, ``sigmoid``, ``softmax``, ``log_softmax`` and
+``masked_fill`` — are each a kernel from :mod:`repro.nn.kernels` plus a
+vector-Jacobian product (VJP), in the manner of
+``torch.autograd.Function``.  An op builds its VJP closure only when
+grad is enabled and an input requires grad; otherwise it wraps the
+kernel's array once.  Only under ``no_grad`` may ``matmul``/``linear``
+write into a :class:`~repro.nn.kernels.ScratchArena` buffer: with grad
+on, even an unrecorded output can feed a recorded op whose VJP reads it
+at backward time, after a later call has overwritten the buffer.
+
+Each VJP replays the float ops and the accumulation order of the
+primitive ``Tensor`` chain the op replaces (``x.matmul(W) + b`` for
+``linear``; mean → sub → square → mean → add eps → pow(-0.5) → mul
+gamma → add beta for ``layer_norm``), so its gradients are bit-identical
+to that chain's; ``tests/test_gradients.py`` holds the chains as
+references.
+
+The remaining functions combine several tensors (``concat``, ``stack``,
+``where``) or have no kernel (``gelu``).
 """
 
 from __future__ import annotations
@@ -11,16 +27,21 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .tensor import Tensor, no_tape_active
+from .tensor import Tensor, _records, _unbroadcast, is_grad_enabled
 
 __all__ = [
-    "concat",
-    "stack",
+    "matmul",
+    "linear",
+    "layer_norm",
+    "relu",
+    "sigmoid",
     "softmax",
     "log_softmax",
+    "masked_fill",
+    "concat",
+    "stack",
     "gelu",
     "where",
-    "masked_fill",
     "pad_sequences",
     "pad_index_sequences",
     "repeat_batch",
@@ -28,14 +49,149 @@ __all__ = [
 ]
 
 
+# ---------------------------------------------------------------------------
+# Kernel ops
+# ---------------------------------------------------------------------------
+def _matmul_vjp(a: Tensor, b: Tensor, grad: np.ndarray) -> None:
+    if a.requires_grad:
+        if b.data.ndim == 1:
+            a._accumulate(np.expand_dims(grad, -1) * b.data)
+        else:
+            a._accumulate(grad @ np.swapaxes(b.data, -1, -2))
+    if b.requires_grad:
+        if a.data.ndim == 1:
+            b._accumulate(np.outer(a.data, grad))
+        else:
+            b._accumulate(np.swapaxes(a.data, -1, -2) @ grad)
+
+
+def matmul(a: Tensor, b, scratch: kernels.ScratchArena | None = None, tag: str = "") -> Tensor:
+    """``a @ b``; ``scratch``/``tag`` name an output buffer used under ``no_grad``."""
+    b = b if isinstance(b, Tensor) else Tensor(b)
+    if not _records(a, b):
+        return Tensor._wrap(kernels.matmul(a.data, b.data, None if is_grad_enabled() else scratch, tag))
+    return Tensor._make(
+        kernels.matmul(a.data, b.data), (a, b), lambda grad: _matmul_vjp(a, b, grad), True
+    )
+
+
+def linear(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor | None = None,
+    scratch: kernels.ScratchArena | None = None,
+    tag: str = "",
+) -> Tensor:
+    """Affine map ``x @ weight + bias`` over arbitrary leading dims."""
+    bias_nd = None if bias is None else bias.data
+    if not _records(x, weight, bias):
+        return Tensor._wrap(
+            kernels.linear(x.data, weight.data, bias_nd, None if is_grad_enabled() else scratch, tag)
+        )
+
+    def backward(grad):
+        # The add's VJP runs before the matmul's, as on the tape.
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad)
+        _matmul_vjp(x, weight, grad)
+
+    return Tensor._make(kernels.linear(x.data, weight.data, bias_nd), (x, weight, bias), backward, True)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalise over the last axis, then scale by ``gamma`` and shift by ``beta``."""
+    dim = x.shape[-1]
+    if not _records(x, gamma, beta):
+        return Tensor._wrap(kernels.layer_norm(x.data, gamma.data, beta.data, eps, dim))
+    out, (centered, shifted, inv_std, normed) = kernels.layer_norm(
+        x.data, gamma.data, beta.data, eps, dim, keep=True
+    )
+    inv = 1.0 / dim
+
+    def backward(grad):
+        # VJPs of the chain in reverse: add beta, mul gamma, mul inv_std,
+        # pow(-0.5), add eps, mean, square, sub mean, mean — x receives
+        # the sub's share before the first mean's, as on the tape.
+        if beta.requires_grad:
+            beta._accumulate(grad)
+        if gamma.requires_grad:
+            gamma._accumulate(grad * normed)
+        if not x.requires_grad:
+            return
+        g_normed = grad * gamma.data
+        g_centered = g_normed * inv_std
+        g_inv_std = _unbroadcast(g_normed * centered, inv_std.shape)
+        g_var = g_inv_std * -0.5 * shifted ** -1.5
+        g_square = np.broadcast_to(g_var * inv, centered.shape)
+        g_centered = g_centered + g_square * centered
+        g_centered = g_centered + g_square * centered
+        x._accumulate(g_centered)
+        g_mean = _unbroadcast(g_centered, inv_std.shape) * -1.0
+        x._accumulate(np.broadcast_to(g_mean * inv, x.data.shape))
+
+    return Tensor._make(out, (x, gamma, beta), backward, True)
+
+
+def relu(x: Tensor) -> Tensor:
+    """``x * (x > 0)``."""
+    data = kernels.relu(x.data)
+    if not _records(x):
+        return Tensor._wrap(data)
+    x_nd = x.data
+    return Tensor._make(data, (x,), lambda grad: x._accumulate(grad * (x_nd > 0)), True)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """``1 / (1 + exp(-x))``."""
+    data = kernels.sigmoid(x.data)
+    if not _records(x):
+        return Tensor._wrap(data)
+    return Tensor._make(data, (x,), lambda grad: x._accumulate(grad * data * (1.0 - data)), True)
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable softmax along ``axis``."""
+    out = kernels.softmax(x.data, axis=axis)
+    if not _records(x):
+        return Tensor._wrap(out)
+
+    def backward(grad):
+        dot = (grad * out).sum(axis=axis, keepdims=True)
+        x._accumulate(out * (grad - dot))
+
+    return Tensor._make(out, (x,), backward, True)
+
+
+def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable log-softmax along ``axis``."""
+    out = kernels.log_softmax(x.data, axis=axis)
+    if not _records(x):
+        return Tensor._wrap(out)
+
+    def backward(grad):
+        x._accumulate(grad - np.exp(out) * grad.sum(axis=axis, keepdims=True))
+
+    return Tensor._make(out, (x,), backward, True)
+
+
+def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
+    """Replace entries where ``mask`` is True by ``value`` (no grad there)."""
+    mask = np.asarray(mask, dtype=bool)
+    data = kernels.masked_fill(x.data, mask, value)
+    if not _records(x):
+        return Tensor._wrap(data)
+    return Tensor._make(data, (x,), lambda grad: x._accumulate(grad * ~mask), True)
+
+
+# ---------------------------------------------------------------------------
+# Combinators and kernel-free ops
+# ---------------------------------------------------------------------------
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
-    if no_tape_active():
-        arrays = [t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64) for t in tensors]
-        return Tensor._wrap(np.concatenate(arrays, axis=axis))
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    requires = any(t.requires_grad for t in tensors)
+    if not _records(*tensors):
+        return Tensor._wrap(data)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -46,17 +202,15 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
                 index[axis] = slice(start, stop)
                 tensor._accumulate(grad[tuple(index)])
 
-    return Tensor._make(data, tuple(tensors), backward, requires)
+    return Tensor._make(data, tuple(tensors), backward, True)
 
 
 def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new ``axis`` with gradient support."""
-    if no_tape_active():
-        arrays = [t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64) for t in tensors]
-        return Tensor._wrap(np.stack(arrays, axis=axis))
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
-    requires = any(t.requires_grad for t in tensors)
+    if not _records(*tensors):
+        return Tensor._wrap(data)
 
     def backward(grad):
         slabs = np.split(grad, len(tensors), axis=axis)
@@ -64,41 +218,7 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
             if tensor.requires_grad:
                 tensor._accumulate(np.squeeze(slab, axis=axis))
 
-    return Tensor._make(data, tuple(tensors), backward, requires)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    if no_tape_active():
-        return Tensor._wrap(kernels.softmax(x.data, axis=axis))
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    out = exps / exps.sum(axis=axis, keepdims=True)
-
-    def backward(grad):
-        if x.requires_grad:
-            dot = (grad * out).sum(axis=axis, keepdims=True)
-            x._accumulate(out * (grad - dot))
-
-    return Tensor._make(out, (x,), backward, x.requires_grad)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    if no_tape_active():
-        # Identical arithmetic (the kernel mirrors the lines below); just
-        # skip materializing the backward-only softmax intermediate.
-        return Tensor._wrap(kernels.log_softmax(x.data, axis=axis))
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - logsumexp
-    soft = np.exp(out)
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True))
-
-    return Tensor._make(out, (x,), backward, x.requires_grad)
+    return Tensor._make(data, tuple(tensors), backward, True)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -107,27 +227,24 @@ def gelu(x: Tensor) -> Tensor:
     inner = c * (x.data + 0.044715 * x.data ** 3)
     t = np.tanh(inner)
     out = 0.5 * x.data * (1.0 + t)
-    if no_tape_active():
+    if not _records(x):
         return Tensor._wrap(out)
 
     def backward(grad):
-        if x.requires_grad:
-            dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x.data ** 2)
-            x._accumulate(grad * (0.5 * (1.0 + t) + 0.5 * x.data * dt))
+        dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x.data ** 2)
+        x._accumulate(grad * (0.5 * (1.0 + t) + 0.5 * x.data * dt))
 
-    return Tensor._make(out, (x,), backward, x.requires_grad)
+    return Tensor._make(out, (x,), backward, True)
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise select: ``condition ? a : b`` (condition is constant)."""
-    if no_tape_active():
-        a_nd = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
-        b_nd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
-        return Tensor._wrap(np.where(np.asarray(condition, dtype=bool), a_nd, b_nd))
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
     condition = np.asarray(condition, dtype=bool)
     data = np.where(condition, a.data, b.data)
+    if not _records(a, b):
+        return Tensor._wrap(data)
 
     def backward(grad):
         if a.requires_grad:
@@ -135,21 +252,7 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(grad * ~condition)
 
-    return Tensor._make(data, (a, b), backward, a.requires_grad or b.requires_grad)
-
-
-def masked_fill(x: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    """Replace entries where ``mask`` is True by ``value`` (no grad there)."""
-    mask = np.asarray(mask, dtype=bool)
-    if no_tape_active():
-        return Tensor._wrap(kernels.masked_fill(x.data, mask, value))
-    data = np.where(mask, value, x.data)
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad * ~mask)
-
-    return Tensor._make(data, (x,), backward, x.requires_grad)
+    return Tensor._make(data, (a, b), backward, True)
 
 
 def pad_sequences(arrays: list[np.ndarray], pad_value: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -196,15 +299,10 @@ def repeat_batch(x: Tensor, repeats: int) -> Tensor:
     """
     if x.shape[0] != 1:
         raise ValueError(f"repeat_batch expects a leading axis of 1, got shape {x.shape}")
-    data = np.broadcast_to(x.data, (repeats,) + x.data.shape[1:])
-    if no_tape_active():
-        return Tensor._wrap(np.ascontiguousarray(data))
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad.sum(axis=0, keepdims=True))
-
-    return Tensor._make(np.ascontiguousarray(data), (x,), backward, x.requires_grad)
+    data = np.ascontiguousarray(np.broadcast_to(x.data, (repeats,) + x.data.shape[1:]))
+    if not _records(x):
+        return Tensor._wrap(data)
+    return Tensor._make(data, (x,), lambda grad: x._accumulate(grad.sum(axis=0, keepdims=True)), True)
 
 
 def one_hot(indices, depth: int) -> np.ndarray:

@@ -1,15 +1,16 @@
-"""Raw-ndarray inference kernels for the no-tape fast path.
+"""Raw-ndarray numeric kernels behind the ops of :mod:`repro.nn.functional`.
 
-Every function here mirrors, float-op for float-op, what the tape path
-in :mod:`repro.nn.tensor` / :mod:`repro.nn.functional` computes — same
-numpy calls, same order, same intermediate layouts — so the fast path
-is bit-identical to the tape path by construction.  (For example,
-``layer_norm`` divides via ``sum * (1.0 / dim)`` because that is what
-``Tensor.mean`` does; a plain ``np.mean`` could differ in the last ulp.)
+Each kernel computes one op's forward on plain ndarrays; the functional
+op pairs it with a vector-Jacobian product and decides whether to
+record.  The float ops follow the primitive ``Tensor`` chain each op
+replaces — same numpy calls, same order — so a kernel's output is
+bit-identical to that chain's (for example, ``layer_norm`` divides via
+``sum * (1.0 / dim)`` because that is what ``Tensor.mean`` does; a plain
+``np.mean`` could differ in the last ulp).
 
-Kernels are only legal to call when no tape is being recorded (see
-``nn.tensor.no_tape_active``); the static ``grad-mode`` checker enforces
-this for every ``kernels.*`` / ``infer_*`` call site in ``src/repro``.
+Only :mod:`repro.nn.functional` calls kernels: a kernel records no
+gradient, so a call the tape could reach anywhere else would train on
+missing gradients.  The static ``raw-kernel`` checker enforces this.
 
 Two cross-cutting facilities live here as well:
 
@@ -174,7 +175,7 @@ def _note(name: str, t0: float, nbytes: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Kernels (all bit-identical mirrors of the tape ops)
+# Kernels
 #
 # Each kernel checks the module-global ``_PROFILE_DEPTH`` inline and only
 # touches the timing helpers when a profiled() block is active: decode
@@ -204,7 +205,7 @@ def linear(
     scratch: ScratchArena | None = None,
     tag: str = "",
 ) -> np.ndarray:
-    """Affine map mirroring ``Linear.forward``: ``x @ W`` then ``+ b``."""
+    """Affine map: ``x @ W`` then ``+ b``."""
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
     if scratch is not None:
         out = scratch.take(tag, x.shape[:-1] + weight.shape[-1:])
@@ -222,30 +223,35 @@ def linear(
 
 @shape_spec(inputs={"x": "(..., dim)", "gamma": "(dim,)", "beta": "(dim,)"},
             out="(..., dim)")
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, dim: int) -> np.ndarray:
-    """Mirror of ``LayerNorm.forward`` (note ``sum * (1/dim)``, as
-    ``Tensor.mean`` computes it, not ``np.mean``)."""
+def layer_norm(
+    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, dim: int, keep: bool = False
+):
+    """``(x - mean) * (var + eps) ** -0.5 * gamma + beta`` over the last axis.
+
+    Means are ``sum * (1/dim)``, as ``Tensor.mean`` computes them, not
+    ``np.mean``.  With ``keep`` the VJP's saved intermediates come back
+    too, as ``(out, (centered, var + eps, inv_std, normed))``; without
+    it the large intermediates are overwritten in place (an ``out=``
+    ufunc call computes identical bits; it only skips the allocation).
+    """
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
     inv = 1.0 / dim
     mean = x.sum(axis=-1, keepdims=True) * inv
     centered = x - mean
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv
-    # Same ufuncs as the tape path, applied in place on the fresh
-    # intermediates (an out= ufunc call computes identical bits; it only
-    # skips the output allocation).
-    np.add(var, eps, out=var)
-    np.power(var, -0.5, out=var)
-    np.multiply(centered, var, out=centered)
-    np.multiply(centered, gamma, out=centered)
-    out = np.add(centered, beta, out=centered)
+    shifted = np.add(var, eps, out=None if keep else var)
+    inv_std = np.power(shifted, -0.5, out=None if keep else shifted)
+    normed = np.multiply(centered, inv_std, out=None if keep else centered)
+    out = np.multiply(normed, gamma, out=None if keep else normed)
+    np.add(out, beta, out=out)
     if _PROFILE_DEPTH:
         _note("layer_norm", t0, out.nbytes)
-    return out
+    return (out, (centered, shifted, inv_std, normed)) if keep else out
 
 
 @shape_spec(inputs={"x": "(...,)"}, out="(...,)")
 def relu(x: np.ndarray) -> np.ndarray:
-    """Mirror of ``Tensor.relu``: ``x * (x > 0)``."""
+    """``x * (x > 0)``."""
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
     out = x * (x > 0)
     if _PROFILE_DEPTH:
@@ -255,7 +261,7 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 @shape_spec(inputs={"x": "(...,)"}, out="(...,)")
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Mirror of ``Tensor.sigmoid``: ``1 / (1 + exp(-x))``."""
+    """``1 / (1 + exp(-x))``."""
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
     out = 1.0 / (1.0 + np.exp(-x))
     if _PROFILE_DEPTH:
@@ -265,7 +271,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 @shape_spec(inputs={"x": "(...,)"}, out="(...,)")
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Mirror of ``functional.softmax`` (shift, exp, normalize)."""
+    """Softmax: shift by the max, exp, normalize."""
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
     shifted = x - x.max(axis=axis, keepdims=True)
     exps = np.exp(shifted, out=shifted)  # in place on the fresh copy
@@ -277,7 +283,7 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 @shape_spec(inputs={"x": "(...,)"}, out="(...,)")
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Mirror of ``functional.log_softmax`` (shift, log-sum-exp)."""
+    """Log-softmax: shift by the max, subtract the log-sum-exp."""
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
     shifted = x - x.max(axis=axis, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
@@ -290,7 +296,7 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 @shape_spec(inputs={"x": "(...,)", "mask": "(...,)"}, out="(...,)",
             dtypes={"mask": "bool"})
 def masked_fill(x: np.ndarray, mask: np.ndarray, value: float) -> np.ndarray:
-    """Mirror of ``functional.masked_fill``."""
+    """``value`` where ``mask`` is True, else ``x``."""
     t0 = time.perf_counter() if _PROFILE_DEPTH else 0.0
     out = np.where(mask, value, x)
     if _PROFILE_DEPTH:

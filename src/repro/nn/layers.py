@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
+from . import functional as F
 from .spec import shape_spec
-from .tensor import Tensor, is_grad_enabled, no_tape_active
+from .tensor import Tensor, is_grad_enabled
 
 __all__ = ["Module", "Parameter", "Linear", "LayerNorm", "Embedding", "Dropout", "Sequential", "MLP", "ModuleList"]
 
@@ -151,21 +151,8 @@ class Linear(Module):
     @shape_spec(inputs={"x": "(..., in_features)"},
                 out="(..., out_features)",
                 params=("weight", "bias"))
-    def forward(self, x: Tensor) -> Tensor:
-        if no_tape_active():
-            return Tensor._wrap(self.infer_forward(x.data))
-        out = x.matmul(self.weight)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
-    @shape_spec(inputs={"x": "(..., in_features)"},
-                out="(..., out_features)",
-                params=("weight", "bias"))
-    def infer_forward(self, x: np.ndarray, scratch=None, tag: str = "") -> np.ndarray:
-        """No-tape kernel: bit-identical to the tape forward."""
-        bias = self.bias.data if self.bias is not None else None
-        return kernels.linear(x, self.weight.data, bias, scratch=scratch, tag=tag)
+    def forward(self, x: Tensor, scratch=None, tag: str = "") -> Tensor:
+        return F.linear(x, self.weight, self.bias, scratch=scratch, tag=tag)
 
 
 class LayerNorm(Module):
@@ -182,20 +169,7 @@ class LayerNorm(Module):
                 out="(..., dim)",
                 params=("gamma", "beta"))
     def forward(self, x: Tensor) -> Tensor:
-        if no_tape_active():
-            return Tensor._wrap(self.infer_forward(x.data))
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered * (var + self.eps) ** -0.5
-        return normed * self.gamma + self.beta
-
-    @shape_spec(inputs={"x": "(..., dim)"},
-                out="(..., dim)",
-                params=("gamma", "beta"))
-    def infer_forward(self, x: np.ndarray) -> np.ndarray:
-        """No-tape kernel: bit-identical to the tape forward."""
-        return kernels.layer_norm(x, self.gamma.data, self.beta.data, self.eps, self.dim)
+        return F.layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 class Embedding(Module):
@@ -216,8 +190,6 @@ class Embedding(Module):
         indices = np.asarray(indices, dtype=np.int64)
         if indices.min(initial=0) < 0 or (indices.size and indices.max() >= self.num_embeddings):
             raise IndexError("embedding index out of range")
-        if no_tape_active():
-            return Tensor._wrap(self.weight.data[indices])
         return self.weight[indices]
 
 
@@ -233,9 +205,9 @@ class Dropout(Module):
 
     @shape_spec(inputs={"x": "(...,)"}, out="(...,)")
     def forward(self, x: Tensor) -> Tensor:
-        # Inference-mode dropout is a *true* no-op on both paths: the
-        # input object passes through untouched — no pass-through tensor
-        # on the tape, no copy on the fast path (tests assert identity).
+        # Inference-mode dropout is a *true* no-op: the input object
+        # passes through untouched — no pass-through tensor on the tape,
+        # no copy when not recording (tests assert identity).
         if not self.training or self.p == 0.0 or not is_grad_enabled():
             return x
         keep = 1.0 - self.p
@@ -275,27 +247,10 @@ class MLP(Module):
                 out="(..., d_out)",
                 params=("layers",))
     def forward(self, x: Tensor) -> Tensor:
-        if no_tape_active():
-            return Tensor._wrap(self.infer_forward(x.data))
         for i, layer in enumerate(self.layers):
             x = layer(x)
             if i < len(self.layers) - 1:
                 x = x.relu()
                 if self.dropout is not None:
                     x = self.dropout(x)
-        return x
-
-    @shape_spec(inputs={"x": "(..., d_in)"},
-                out="(..., d_out)",
-                params=("layers",))
-    def infer_forward(self, x: np.ndarray) -> np.ndarray:
-        """No-tape kernel: the whole MLP in raw ndarray ops.
-
-        Dropout is skipped outright — it is an identity in inference
-        mode on the tape path too.
-        """
-        for i, layer in enumerate(self.layers):
-            x = layer.infer_forward(x)
-            if i < len(self.layers) - 1:
-                x = kernels.relu(x)
         return x

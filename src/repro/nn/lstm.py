@@ -10,10 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import functional as F
-from . import kernels
 from .layers import Linear, Module
 from .spec import shape_spec
-from .tensor import Tensor, no_tape_active
+from .tensor import Tensor
 
 __all__ = ["LSTMCell", "LSTM", "ChildSumTreeLSTM"]
 
@@ -50,30 +49,6 @@ class LSTMCell(Module):
         h_new = o * c_new.tanh()
         return h_new, c_new
 
-    @shape_spec(inputs={"x": "(B, input_dim)",
-                        "state": ("(B, hidden_dim)", "(B, hidden_dim)")},
-                out=("(B, hidden_dim)", "(B, hidden_dim)"),
-                params=("ih", "hh"))
-    def infer_forward(
-        self, x: np.ndarray, state: tuple[np.ndarray, np.ndarray] | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """No-tape mirror of :meth:`forward` on raw ndarrays."""
-        batch = x.shape[0]
-        if state is None:
-            h = np.zeros((batch, self.hidden_dim))
-            c = np.zeros((batch, self.hidden_dim))
-        else:
-            h, c = state
-        gates = self.ih.infer_forward(x) + self.hh.infer_forward(h)
-        d = self.hidden_dim
-        i = kernels.sigmoid(gates[:, 0 * d: 1 * d])
-        f = kernels.sigmoid(gates[:, 1 * d: 2 * d])
-        g = np.tanh(gates[:, 2 * d: 3 * d])
-        o = kernels.sigmoid(gates[:, 3 * d: 4 * d])
-        c_new = f * c + i * g
-        h_new = o * np.tanh(c_new)
-        return h_new, c_new
-
 
 class LSTM(Module):
     """Unidirectional sequence LSTM over (batch, seq, dim) tensors."""
@@ -88,8 +63,6 @@ class LSTM(Module):
                 params=("cell",))
     def forward(self, x: Tensor) -> Tensor:
         """Return the stacked hidden states, shape (batch, seq, hidden)."""
-        if no_tape_active():
-            return Tensor._wrap(self.infer_forward(x.data))
         state = None
         outputs = []
         for t in range(x.shape[1]):
@@ -97,19 +70,6 @@ class LSTM(Module):
             state = (h, c)
             outputs.append(h)
         return F.stack(outputs, axis=1)
-
-    @shape_spec(inputs={"x": "(B, L, input_dim)"},
-                out="(B, L, hidden_dim)",
-                params=("cell",))
-    def infer_forward(self, x: np.ndarray) -> np.ndarray:
-        """No-tape mirror of :meth:`forward`."""
-        state = None
-        outputs = []
-        for t in range(x.shape[1]):
-            h, c = self.cell.infer_forward(x[:, t, :], state)
-            state = (h, c)
-            outputs.append(h)
-        return np.stack(outputs, axis=1)
 
 
 class ChildSumTreeLSTM(Module):
@@ -160,34 +120,6 @@ class ChildSumTreeLSTM(Module):
         h = o * c.tanh()
         return h, c
 
-    @shape_spec(inputs={"x": "(B, input_dim)"},
-                out=("(B, hidden_dim)", "(B, hidden_dim)"),
-                params=("iou_x", "iou_h", "f_x", "f_h"))
-    def infer_node_forward(
-        self, x: np.ndarray, child_states: list[tuple[np.ndarray, np.ndarray]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """No-tape mirror of :meth:`node_forward` on raw ndarrays."""
-        if child_states:
-            h_sum = child_states[0][0]
-            for h, _ in child_states[1:]:
-                h_sum = h_sum + h
-        else:
-            h_sum = np.zeros((x.shape[0], self.hidden_dim))
-
-        iou = self.iou_x.infer_forward(x) + self.iou_h.infer_forward(h_sum)
-        d = self.hidden_dim
-        i = kernels.sigmoid(iou[:, 0 * d: 1 * d])
-        o = kernels.sigmoid(iou[:, 1 * d: 2 * d])
-        u = np.tanh(iou[:, 2 * d: 3 * d])
-
-        c = i * u
-        fx = self.f_x.infer_forward(x)
-        for h_child, c_child in child_states:
-            f = kernels.sigmoid(fx + self.f_h.infer_forward(h_child))
-            c = c + f * c_child
-        h = o * np.tanh(c)
-        return h, c
-
     def encode_tree(self, features: dict, children: dict, root) -> Tensor:
         """Encode a tree given per-node features and a children mapping.
 
@@ -204,28 +136,14 @@ class ChildSumTreeLSTM(Module):
         """
         memo: dict = {}
 
-        if no_tape_active():
-            def visit_nd(node) -> tuple[np.ndarray, np.ndarray]:
-                if node in memo:
-                    return memo[node]
-                child_states = [visit_nd(c) for c in children.get(node, [])]
-                feat = features[node]
-                feat_nd = feat.data if isinstance(feat, Tensor) else np.asarray(feat, dtype=np.float64)
-                state = self.infer_node_forward(feat_nd.reshape(1, -1), child_states)
-                memo[node] = state
-                return state
-
-            h_nd, _ = visit_nd(root)
-            return Tensor._wrap(h_nd)
-
         def visit(node) -> tuple[Tensor, Tensor]:
             if node in memo:
                 return memo[node]
             child_states = [visit(c) for c in children.get(node, [])]
             feat = features[node]
             if not isinstance(feat, Tensor):
-                feat = Tensor(np.asarray(feat, dtype=np.float64).reshape(1, -1))
-            state = self.node_forward(feat, child_states)
+                feat = Tensor(np.asarray(feat, dtype=np.float64))
+            state = self.node_forward(feat.reshape(1, -1), child_states)
             memo[node] = state
             return state
 

@@ -18,9 +18,7 @@ The decorator is runtime-inert — it stashes the spec on the function as
 per-call overhead.  The real consumer is the static analyzer
 (:mod:`repro.analysis.shapes`), which reads the decorator from the AST
 (all arguments must therefore be literals) and abstractly interprets
-the method body against it.  Dual-mode pairs (``forward`` /
-``infer_forward`` and friends) must declare identical ``out`` and
-``params`` — the ``dual-mode-parity`` checker enforces it.
+the method body against it.
 """
 
 from __future__ import annotations

@@ -10,6 +10,14 @@ records the operation that produced it and a closure that propagates
 gradients to its parents.  ``Tensor.backward()`` topologically sorts the
 graph and runs the closures in reverse order.
 
+Every op is written once.  The ops with a numeric kernel
+(:mod:`repro.nn.functional`: ``linear``, ``layer_norm``, ``softmax`` …)
+are a kernel from :mod:`repro.nn.kernels` plus a vector-Jacobian
+product, in the manner of ``torch.autograd.Function``.  When grad is
+off, or no input requires grad, an op returns the kernel's array
+wrapped once and builds no backward closure — that is the whole of
+inference mode.
+
 Only float64 data is used; the models in this reproduction are small, so
 numerical robustness is preferred over memory savings.
 """
@@ -20,27 +28,17 @@ import threading
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "no_grad",
-    "is_grad_enabled",
-    "fastpath_enabled",
-    "no_tape_active",
-    "force_tape",
-]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
 # Grad mode is per-thread (as in torch): a serving thread running under
 # no_grad must not disable tape recording for a concurrently training
 # thread (tenant fine-tunes run on fleet-coordinator threads while drain
 # threads serve inference), and vice versa.
-_GRAD_STATE = threading.local()
+class _GradState(threading.local):
+    enabled = True
 
-# The no-tape fast path is likewise per-thread.  It is on by default:
-# whenever grad is disabled, layer forwards dispatch to raw-ndarray
-# kernels (``infer_*`` methods) instead of building ``Tensor`` nodes.
-# ``force_tape`` turns the dispatch off so parity tests and benchmarks
-# can run the legacy tape path under ``no_grad`` and compare bits.
-_FASTPATH_STATE = threading.local()
+
+_GRAD_STATE = _GradState()
 
 
 class no_grad:
@@ -62,41 +60,12 @@ class no_grad:
 
 def is_grad_enabled() -> bool:
     """Return True when operations are being recorded on this thread's tape."""
-    return getattr(_GRAD_STATE, "enabled", True)
+    return _GRAD_STATE.enabled
 
 
-def fastpath_enabled() -> bool:
-    """True when the no-tape fast path may be taken on this thread."""
-    return getattr(_FASTPATH_STATE, "enabled", True)
-
-
-def no_tape_active() -> bool:
-    """True when forwards on this thread should use raw-ndarray kernels.
-
-    This is the dispatch predicate of the dual-mode substrate: grad is
-    off (nothing will ever call ``backward`` on the results) *and* the
-    fast path has not been suppressed via :class:`force_tape`.
-    """
-    return not is_grad_enabled() and fastpath_enabled()
-
-
-class force_tape:
-    """Context manager disabling the no-tape fast path (thread-local).
-
-    Inside the block, forwards under ``no_grad`` run the legacy
-    tape-building path.  Exists for the fast-vs-tape parity tests and
-    for ``bench_batched_decode.py`` to time the pre-fast-path decode —
-    production code should never need it.
-    """
-
-    def __enter__(self):
-        self._prev = fastpath_enabled()
-        _FASTPATH_STATE.enabled = False
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        _FASTPATH_STATE.enabled = self._prev
-        return False
+def _records(*inputs) -> bool:
+    """True when an op over ``inputs`` (Tensors or None) must record."""
+    return _GRAD_STATE.enabled and any(t is not None and t.requires_grad for t in inputs)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -187,13 +156,15 @@ class Tensor:
     # ------------------------------------------------------------------
     @staticmethod
     def _wrap(data: np.ndarray) -> "Tensor":
-        """Cheapest possible Tensor around an already-float64 ndarray.
+        """Cheapest possible Tensor around a float64 result.
 
-        The no-tape boundary constructor: raw-ndarray kernels compute a
-        whole layer (or decode step) and wrap the result exactly once —
-        no ``_as_array`` dtype probe, no parents, no backward closure.
-        Callers guarantee ``data`` is a float64 ``np.ndarray``.
+        What an op returns when nothing is recorded: no dtype probe, no
+        parents, no backward closure.  Callers guarantee float64; a
+        numpy scalar (a full reduction, a 0-d product) becomes a 0-d
+        array.
         """
+        if type(data) is not np.ndarray:
+            data = np.asarray(data, dtype=np.float64)
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
@@ -205,17 +176,14 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: tuple, backward, requires_grad: bool) -> "Tensor":
-        # No-tape dispatch: when nothing will ever backpropagate through
-        # this node, skip the full constructor and all bookkeeping.  The
-        # backward closure the caller built is simply dropped.  Gated on
-        # ``fastpath_enabled`` so ``force_tape`` really does reproduce
-        # the legacy per-op construction cost.
-        if (not requires_grad or not is_grad_enabled()) and fastpath_enabled():
-            return Tensor._wrap(np.asarray(data, dtype=np.float64))
-        out = Tensor(data, requires_grad=requires_grad)
-        if out.requires_grad:
-            out._prev = tuple(p for p in parents if isinstance(p, Tensor) and p.requires_grad)
-            out._backward = backward
+        # When nothing will ever backpropagate through this node, skip
+        # the full constructor and all bookkeeping; the backward closure
+        # the caller built is simply dropped.
+        if not (requires_grad and _GRAD_STATE.enabled):
+            return Tensor._wrap(data)
+        out = Tensor(data, requires_grad=True)
+        out._prev = tuple(p for p in parents if isinstance(p, Tensor) and p.requires_grad)
+        out._backward = backward
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -262,8 +230,12 @@ class Tensor:
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
+        if isinstance(other, float):
+            return Tensor._make(self.data + other, (self,), self._accumulate, self.requires_grad)
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data + other.data
+        if not _records(self, other):
+            return Tensor._wrap(data)
 
         def backward(grad):
             if self.requires_grad:
@@ -276,8 +248,14 @@ class Tensor:
     __radd__ = __add__
 
     def __mul__(self, other) -> "Tensor":
+        if isinstance(other, float):
+            return Tensor._make(
+                self.data * other, (self,), lambda grad: self._accumulate(grad * other), self.requires_grad
+            )
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data * other.data
+        if not _records(self, other):
+            return Tensor._wrap(data)
 
         def backward(grad):
             if self.requires_grad:
@@ -320,31 +298,17 @@ class Tensor:
     # Matrix / shape operations
     # ------------------------------------------------------------------
     def matmul(self, other: "Tensor") -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        data = self.data @ other.data
-
-        def backward(grad):
-            if self.requires_grad:
-                if other.data.ndim == 1:
-                    self._accumulate(np.expand_dims(grad, -1) * other.data)
-                else:
-                    self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
-            if other.requires_grad:
-                if self.data.ndim == 1:
-                    other._accumulate(np.outer(self.data, grad))
-                else:
-                    g = np.swapaxes(self.data, -1, -2) @ grad
-                    other._accumulate(g)
-
-        return Tensor._make(data, (self, other), backward, self.requires_grad or other.requires_grad)
+        return _F.matmul(self, other)
 
     __matmul__ = matmul
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        original = self.data.shape
         data = self.data.reshape(shape)
+        if not (self.requires_grad and _GRAD_STATE.enabled):
+            return Tensor._wrap(data)
+        original = self.data.shape
 
         def backward(grad):
             if self.requires_grad:
@@ -357,12 +321,13 @@ class Tensor:
             axes = tuple(reversed(range(self.data.ndim)))
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inverse = np.argsort(axes)
         data = self.data.transpose(axes)
+        if not (self.requires_grad and _GRAD_STATE.enabled):
+            return Tensor._wrap(data)
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad.transpose(inverse))
+                self._accumulate(grad.transpose(np.argsort(axes)))
 
         return Tensor._make(data, (self,), backward, self.requires_grad)
 
@@ -373,6 +338,8 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         data = self.data[index]
+        if not (self.requires_grad and _GRAD_STATE.enabled):
+            return Tensor._wrap(data)
 
         def backward(grad):
             if self.requires_grad:
@@ -452,23 +419,10 @@ class Tensor:
         return Tensor._make(data, (self,), backward, self.requires_grad)
 
     def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * data * (1.0 - data))
-
-        return Tensor._make(data, (self,), backward, self.requires_grad)
+        return _F.sigmoid(self)
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        data = self.data * mask
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * mask)
-
-        return Tensor._make(data, (self,), backward, self.requires_grad)
+        return _F.relu(self)
 
     def abs(self) -> "Tensor":
         sign = np.sign(self.data)
@@ -493,3 +447,8 @@ class Tensor:
                 self._accumulate(grad * mask)
 
         return Tensor._make(data, (self,), backward, self.requires_grad)
+
+
+# The differentiable ops with a kernel live in ``functional`` (which
+# imports this module); the methods above delegate to them.
+from . import functional as _F  # noqa: E402

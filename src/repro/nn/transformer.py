@@ -4,17 +4,20 @@ These are the building blocks for the paper's three transformer
 components: the per-table encoders ``Enc_i`` (F.ii), the shared
 representation encoder ``Trans_Share`` (S), and the join-order decoder
 ``Trans_JO`` (T.iii).  The paper uses 3 blocks and 4 heads for each.
+
+Every forward takes optional ``scratch``/``tag`` arguments, threaded to
+the hot matmuls so that a decode not being recorded reuses its output
+buffers across steps (see :class:`repro.nn.kernels.ScratchArena`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
 from .attention import MultiHeadAttention, causal_mask
 from .layers import Dropout, LayerNorm, Linear, Module, ModuleList
 from .spec import shape_spec
-from .tensor import Tensor, no_tape_active
+from .tensor import Tensor
 
 __all__ = ["TransformerEncoderLayer", "TransformerEncoder", "TransformerDecoderLayer", "TransformerDecoder"]
 
@@ -36,31 +39,19 @@ class TransformerEncoderLayer(Module):
     @shape_spec(inputs={"x": "(B, L, dim)"},
                 out="(B, L, dim)",
                 params=("attn", "norm1", "norm2", "ff1", "ff2"))
-    def forward(self, x: Tensor, key_padding_mask: np.ndarray | None = None) -> Tensor:
-        if no_tape_active():
-            return Tensor._wrap(self.infer_forward(x.data, key_padding_mask=key_padding_mask))
-        normed = self.norm1(x)
-        x = x + self.dropout(self.attn(normed, key_padding_mask=key_padding_mask))
-        normed = self.norm2(x)
-        x = x + self.dropout(self.ff2(self.ff1(normed).relu()))
-        return x
-
-    @shape_spec(inputs={"x": "(B, L, dim)"},
-                out="(B, L, dim)",
-                params=("attn", "norm1", "norm2", "ff1", "ff2"))
-    def infer_forward(
+    def forward(
         self,
-        x: np.ndarray,
+        x: Tensor,
         key_padding_mask: np.ndarray | None = None,
         scratch=None,
         tag: str = "",
-    ) -> np.ndarray:
-        """No-tape mirror of :meth:`forward` (dropout is identity)."""
-        normed = self.norm1.infer_forward(x)
-        x = x + self.attn.infer_forward(normed, key_padding_mask=key_padding_mask, scratch=scratch, tag=tag + ".attn")
-        normed = self.norm2.infer_forward(x)
-        hidden = kernels.relu(self.ff1.infer_forward(normed, scratch=scratch, tag=tag + ".ff1"))
-        x = x + self.ff2.infer_forward(hidden)
+    ) -> Tensor:
+        normed = self.norm1(x)
+        attended = self.attn(normed, key_padding_mask=key_padding_mask, scratch=scratch, tag=tag + ".attn")
+        x = x + self.dropout(attended)
+        normed = self.norm2(x)
+        hidden = self.ff1(normed, scratch=scratch, tag=tag + ".ff1").relu()
+        x = x + self.dropout(self.ff2(hidden))
         return x
 
 
@@ -78,27 +69,16 @@ class TransformerEncoder(Module):
     @shape_spec(inputs={"x": "(B, L, dim)"},
                 out="(B, L, dim)",
                 params=("layers", "final_norm"))
-    def forward(self, x: Tensor, key_padding_mask: np.ndarray | None = None) -> Tensor:
-        if no_tape_active():
-            return Tensor._wrap(self.infer_forward(x.data, key_padding_mask=key_padding_mask))
-        for layer in self.layers:
-            x = layer(x, key_padding_mask=key_padding_mask)
-        return self.final_norm(x)
-
-    @shape_spec(inputs={"x": "(B, L, dim)"},
-                out="(B, L, dim)",
-                params=("layers", "final_norm"))
-    def infer_forward(
+    def forward(
         self,
-        x: np.ndarray,
+        x: Tensor,
         key_padding_mask: np.ndarray | None = None,
         scratch=None,
         tag: str = "",
-    ) -> np.ndarray:
-        """No-tape mirror of :meth:`forward`."""
+    ) -> Tensor:
         for i, layer in enumerate(self.layers):
-            x = layer.infer_forward(x, key_padding_mask=key_padding_mask, scratch=scratch, tag=f"{tag}.l{i}")
-        return self.final_norm.infer_forward(x)
+            x = layer(x, key_padding_mask=key_padding_mask, scratch=scratch, tag=f"{tag}.l{i}")
+        return self.final_norm(x)
 
 
 class TransformerDecoderLayer(Module):
@@ -123,47 +103,24 @@ class TransformerDecoderLayer(Module):
     def forward(
         self,
         x: Tensor,
-        memory: Tensor,
+        memory: Tensor | None,
         memory_padding_mask: np.ndarray | None = None,
-    ) -> Tensor:
-        if no_tape_active():
-            return Tensor._wrap(
-                self.infer_forward(x.data, memory.data, memory_padding_mask=memory_padding_mask)
-            )
-        length = x.shape[1]
-        normed = self.norm1(x)
-        x = x + self.dropout(self.self_attn(normed, attn_mask=causal_mask(length)))
-        normed = self.norm2(x)
-        x = x + self.dropout(self.cross_attn(normed, memory, memory, key_padding_mask=memory_padding_mask))
-        normed = self.norm3(x)
-        x = x + self.dropout(self.ff2(self.ff1(normed).relu()))
-        return x
-
-    @shape_spec(inputs={"x": "(B, L, dim)", "memory": "(B, L_m, dim)"},
-                out="(B, L, dim)",
-                params=("self_attn", "cross_attn", "norm1", "norm2", "norm3", "ff1", "ff2"))
-    def infer_forward(
-        self,
-        x: np.ndarray,
-        memory: np.ndarray | None,
-        memory_padding_mask: np.ndarray | None = None,
-        memory_kv: tuple[np.ndarray, np.ndarray] | None = None,
+        memory_kv: tuple[Tensor, Tensor] | None = None,
         scratch=None,
         tag: str = "",
-    ) -> np.ndarray:
-        """No-tape mirror of :meth:`forward`.
+    ) -> Tensor:
+        """One decoder block.
 
         ``memory_kv`` supplies this layer's precomputed cross-attention
-        K/V (from ``cross_attn.infer_project_kv(memory)``); when given,
+        K/V (from ``cross_attn.project_kv(memory)``); when given,
         ``memory`` itself may be None — the projections stand in for it.
         """
         length = x.shape[1]
-        normed = self.norm1.infer_forward(x)
-        x = x + self.self_attn.infer_forward(
-            normed, attn_mask=causal_mask(length), scratch=scratch, tag=tag + ".self"
-        )
-        normed = self.norm2.infer_forward(x)
-        x = x + self.cross_attn.infer_forward(
+        normed = self.norm1(x)
+        attended = self.self_attn(normed, attn_mask=causal_mask(length), scratch=scratch, tag=tag + ".self")
+        x = x + self.dropout(attended)
+        normed = self.norm2(x)
+        attended = self.cross_attn(
             normed,
             memory,
             memory,
@@ -172,9 +129,10 @@ class TransformerDecoderLayer(Module):
             scratch=scratch,
             tag=tag + ".cross",
         )
-        normed = self.norm3.infer_forward(x)
-        hidden = kernels.relu(self.ff1.infer_forward(normed, scratch=scratch, tag=tag + ".ff1"))
-        x = x + self.ff2.infer_forward(hidden)
+        x = x + self.dropout(attended)
+        normed = self.norm3(x)
+        hidden = self.ff1(normed, scratch=scratch, tag=tag + ".ff1").relu()
+        x = x + self.dropout(self.ff2(hidden))
         return x
 
 
@@ -195,49 +153,31 @@ class TransformerDecoder(Module):
     def forward(
         self,
         x: Tensor,
-        memory: Tensor,
+        memory: Tensor | None,
         memory_padding_mask: np.ndarray | None = None,
-    ) -> Tensor:
-        if no_tape_active():
-            return Tensor._wrap(
-                self.infer_forward(x.data, memory.data, memory_padding_mask=memory_padding_mask)
-            )
-        for layer in self.layers:
-            x = layer(x, memory, memory_padding_mask=memory_padding_mask)
-        return self.final_norm(x)
-
-    @shape_spec(inputs={"x": "(B, L, dim)", "memory": "(B, L_m, dim)"},
-                out="(B, L, dim)",
-                params=("layers", "final_norm"))
-    def infer_forward(
-        self,
-        x: np.ndarray,
-        memory: np.ndarray | None,
-        memory_padding_mask: np.ndarray | None = None,
-        memory_kv: list[tuple[np.ndarray, np.ndarray]] | None = None,
+        memory_kv: list[tuple[Tensor, Tensor]] | None = None,
         scratch=None,
         tag: str = "",
-    ) -> np.ndarray:
-        """No-tape mirror of :meth:`forward`.
+    ) -> Tensor:
+        """Run every block, then the final LayerNorm.
 
         ``memory_kv`` is one ``(k, v)`` pair per layer (see
-        :meth:`infer_project_memory_kv`); with it the encoder memory's K/V are
+        :meth:`project_memory_kv`); with it the encoder memory's K/V are
         never re-projected inside the step.
         """
         for i, layer in enumerate(self.layers):
-            kv = memory_kv[i] if memory_kv is not None else None
-            x = layer.infer_forward(
+            x = layer(
                 x,
                 memory,
                 memory_padding_mask=memory_padding_mask,
-                memory_kv=kv,
+                memory_kv=None if memory_kv is None else memory_kv[i],
                 scratch=scratch,
                 tag=f"{tag}.l{i}",
             )
-        return self.final_norm.infer_forward(x)
+        return self.final_norm(x)
 
     @shape_spec(inputs={"memory": "(B, L_m, dim)"}, params=("layers",))
-    def infer_project_memory_kv(self, memory: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    def project_memory_kv(self, memory: Tensor) -> list[tuple[Tensor, Tensor]]:
         """Cross-attention K/V of ``memory`` for every layer — the
         per-decode work a :class:`repro.nn.KVCache` amortizes."""
-        return [layer.cross_attn.infer_project_kv(memory) for layer in self.layers]
+        return [layer.cross_attn.project_kv(memory) for layer in self.layers]

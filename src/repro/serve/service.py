@@ -31,12 +31,12 @@ query/plan signature, orders returned through the service are identical
 to direct ``predict_join_orders`` calls — the parity suite
 (``tests/test_serve.py``) asserts this at every beam width 1-8.
 
-Serving gets the no-tape fast path (DESIGN.md section 11) by
+Serving records no autodiff tape (DESIGN.md section 11) by
 construction: every decode runs through the service's
 :class:`repro.core.InferenceSession`, whose calls run under
 ``nn.no_grad()`` and thread the session's private ``ScratchArena``
-into the kernels — and the fast path is bit-identical to the tape
-path, so none of the parity guarantees above are weakened by it.
+into the kernels.  A forward computes the same bits whether or not it
+records, so none of the parity guarantees above are weakened by it.
 """
 
 from __future__ import annotations

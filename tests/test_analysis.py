@@ -373,21 +373,20 @@ class MTMLFQO:
 
 
 # ---------------------------------------------------------------------------
-# raw-kernel (dual-mode substrate invariant)
+# raw-kernel (kernels are called only by their functional ops)
 # ---------------------------------------------------------------------------
 class TestRawKernelChecker:
-    def test_unguarded_kernel_and_infer_calls_fire(self):
+    def test_unguarded_kernel_call_fires(self):
         source = """
 from repro.nn import kernels
 
 def forward(model, x):
     h = kernels.linear(x, model.w, model.b)
-    return model.infer_forward(h)
+    return model.forward(h)
 """
         findings = run_checker(RawKernelChecker(), source)
-        assert len(findings) == 2
+        assert len(findings) == 1
         assert "kernels.linear" in findings[0].message
-        assert "infer_forward" in findings[1].message
 
     def test_no_grad_block_guards(self):
         source = """
@@ -400,17 +399,17 @@ def forward(model, x):
 """
         assert run_checker(RawKernelChecker(), source) == []
 
-    def test_no_tape_active_branch_guards(self):
+    def test_functional_module_is_exempt(self):
+        # nn/functional.py pairs each kernel with its VJP, so it may call
+        # kernels wherever the tape reaches; the same code elsewhere fires.
         source = """
-from repro import nn
-from repro.nn import kernels
+from . import kernels
 
-def forward(model, x):
-    if nn.no_tape_active():
-        return kernels.relu(x)
-    return model.slow(x)
+def relu(x):
+    return record(kernels.relu(x.data), x)
 """
-        assert run_checker(RawKernelChecker(), source) == []
+        assert run_checker(RawKernelChecker(), source, "repro/nn/functional.py") == []
+        assert len(run_checker(RawKernelChecker(), source, "repro/nn/layers.py")) == 1
 
     def test_not_grad_enabled_and_else_of_grad_enabled_guard(self):
         source = """
@@ -426,7 +425,7 @@ def b(model, x):
     if nn.is_grad_enabled():
         return model.slow(x)
     else:
-        return model.infer_forward(x)
+        return kernels.relu(x)
 """
         assert run_checker(RawKernelChecker(), source) == []
 
@@ -436,15 +435,15 @@ from repro import nn
 from repro.nn import kernels
 
 def forward(model, x, fast):
-    if fast and nn.no_tape_active():
+    if fast and not nn.is_grad_enabled():
         return kernels.relu(x)
     return model.slow(x)
 """
         assert run_checker(RawKernelChecker(), source) == []
 
-    def test_infer_function_is_itself_an_entry_point(self):
-        # An infer_* function may call raw kernels freely — its callers
-        # carry the guard obligation (checked at their call sites).
+    def test_infer_named_function_is_not_exempt(self):
+        # The name of the enclosing function proves nothing about grad
+        # mode: an infer_* method is checked like any other.
         source = """
 from repro.nn import kernels
 
@@ -454,7 +453,8 @@ class Layer:
             return kernels.matmul(v, self.w)
         return project(x)
 """
-        assert run_checker(RawKernelChecker(), source) == []
+        findings = run_checker(RawKernelChecker(), source)
+        assert len(findings) == 1 and "kernels.matmul" in findings[0].message
 
     def test_nested_helper_under_guard_inherits_it(self):
         source = """
@@ -462,7 +462,7 @@ from repro import nn
 from repro.nn import kernels
 
 def forward(model, x):
-    if nn.no_tape_active():
+    if not nn.is_grad_enabled():
         def step(v):
             return kernels.layer_norm(v, model.g, model.b)
         return step(x)

@@ -178,40 +178,63 @@ class TestBatchedBeamParity:
             assert_candidates_identical(state.candidates(), solo)
 
 
+class NoKVCache:
+    """TransJO facade whose ``step_logits`` drops the KV cache, so every
+    step projects the memory inline — a decode without a cache."""
+
+    def __init__(self, trans_jo):
+        self.trans_jo = trans_jo
+
+    def step_logits(self, memory, prefix_positions, kv_cache=None):
+        return self.trans_jo.step_logits(memory, prefix_positions)
+
+
 class TestFastVsTapeParity:
-    """The no-tape fast path must yield bit-identical decodes to the
-    tape path (``nn.force_tape()`` reproduces the pre-fast-path per-op
-    implementation exactly)."""
+    """The decode paths (batched lockstep with cached projections and
+    session scratch buffers, sequential with a KV cache) must be
+    bit-identical to the sequential reference without a KV cache, and a
+    decode step must compute the same bits recorded or not."""
 
     @pytest.mark.parametrize("beam_width", list(range(1, 9)))
     def test_e2e_beam_parity_across_widths(self, trans_jo, beam_width):
         for m, build in ((4, chain_adjacency), (5, star_adjacency), (8, chain_adjacency)):
             memory = random_memory(m, seed=100 + m + beam_width)
             adjacency = build(m)
-            with nn.force_tape():
-                tape = beam_search_join_order(trans_jo, memory, adjacency, beam_width=beam_width)
+            reference = beam_search_join_order_sequential(
+                NoKVCache(trans_jo), memory, adjacency, beam_width=beam_width
+            )
             fast = beam_search_join_order(trans_jo, memory, adjacency, beam_width=beam_width)
-            assert_candidates_identical(fast, tape)
+            assert_candidates_identical(fast, reference)
 
     def test_parity_with_session_scratch_arena(self, trans_jo):
         memory = random_memory(6, seed=77)
         adjacency = chain_adjacency(6)
-        with nn.force_tape():
-            tape = beam_search_join_order(trans_jo, memory, adjacency, beam_width=4)
+        reference = beam_search_join_order_sequential(
+            NoKVCache(trans_jo), memory, adjacency, beam_width=4
+        )
         scratch = nn.ScratchArena()
         for _ in range(3):  # reused buffers must not leak state across decodes
             fast = beam_search_join_order(
                 trans_jo, memory, adjacency, beam_width=4, scratch=scratch
             )
-            assert_candidates_identical(fast, tape)
+            assert_candidates_identical(fast, reference)
 
     def test_sequential_parity_fast_vs_tape(self, trans_jo):
         memory = random_memory(5, seed=78)
         adjacency = star_adjacency(5)
-        with nn.force_tape():
-            tape = beam_search_join_order_sequential(trans_jo, memory, adjacency, beam_width=4)
-        fast = beam_search_join_order_sequential(trans_jo, memory, adjacency, beam_width=4)
-        assert_candidates_identical(fast, tape)
+        reference = beam_search_join_order_sequential(
+            NoKVCache(trans_jo), memory, adjacency, beam_width=4
+        )
+        cached = beam_search_join_order_sequential(trans_jo, memory, adjacency, beam_width=4)
+        assert_candidates_identical(cached, reference)
+
+    def test_recorded_step_matches_cached_step(self, trans_jo):
+        memory = random_memory(5, seed=79)
+        recorded = trans_jo.step_logits(memory, [3, 0])
+        assert recorded.requires_grad  # the tape is on: start_token is a parameter
+        with nn.no_grad():
+            cached = trans_jo.step_logits(memory, [3, 0], kv_cache=nn.KVCache(memory))
+        np.testing.assert_array_equal(cached.data, recorded.data)
 
 
 class TestKVCache:
@@ -219,25 +242,25 @@ class TestKVCache:
         memory = random_memory(5, seed=80)
         cache = nn.KVCache(memory)
         with nn.no_grad():
-            first = trans_jo.infer_memory_kv(memory, cache)
-            second = trans_jo.infer_memory_kv(memory, cache)
+            first = trans_jo.memory_kv(memory, cache)
+            second = trans_jo.memory_kv(memory, cache)
         assert len(cache) == 1
         assert first is second  # same projection object, not a recompute
         memory_kv, pointer_keys = first
         assert len(memory_kv) == len(trans_jo.decoder.layers)
         with nn.no_grad():
-            fresh_kv, fresh_keys = trans_jo.infer_memory_kv(memory)
-        np.testing.assert_array_equal(pointer_keys, fresh_keys)
+            fresh_kv, fresh_keys = trans_jo.memory_kv(memory)
+        np.testing.assert_array_equal(pointer_keys.data, fresh_keys.data)
         for (k, v), (fk, fv) in zip(memory_kv, fresh_kv):
-            np.testing.assert_array_equal(k, fk)
-            np.testing.assert_array_equal(v, fv)
+            np.testing.assert_array_equal(k.data, fk.data)
+            np.testing.assert_array_equal(v.data, fv.data)
 
     def test_cache_bound_to_other_memory_is_rejected(self, trans_jo):
         memory = random_memory(5, seed=81)
         other = random_memory(5, seed=82)
         stale = nn.KVCache(other)
         with nn.no_grad(), pytest.raises(ValueError, match="bound to a different encoder memory"):
-            trans_jo.infer_memory_kv(memory, stale)
+            trans_jo.memory_kv(memory, stale)
 
     def test_equal_values_different_object_still_rejected(self, trans_jo):
         # Binding is by object identity, not value: a hot-swapped replica
@@ -248,18 +271,18 @@ class TestKVCache:
         cache = nn.KVCache(memory)
         assert cache.bound_to(memory) and not cache.bound_to(clone)
         with nn.no_grad(), pytest.raises(ValueError, match="bound to a different encoder memory"):
-            trans_jo.infer_memory_kv(clone, cache)
+            trans_jo.memory_kv(clone, cache)
 
     def test_invalidate_forces_reprojection(self, trans_jo):
         memory = random_memory(4, seed=84)
         cache = nn.KVCache(memory)
         with nn.no_grad():
-            first = trans_jo.infer_memory_kv(memory, cache)
+            first = trans_jo.memory_kv(memory, cache)
             cache.invalidate()
             assert len(cache) == 0
-            second = trans_jo.infer_memory_kv(memory, cache)
+            second = trans_jo.memory_kv(memory, cache)
         assert first is not second  # recomputed after invalidation
-        np.testing.assert_array_equal(first[1], second[1])
+        np.testing.assert_array_equal(first[1].data, second[1].data)
 
 
 class TestDisconnectedDetection:

@@ -7,10 +7,14 @@ corrupted/truncated files and mismatched databases, and optionally
 restores Adam moments keyed by parameter name for warm-start training.
 """
 
+import copy
+import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.nn as nn
 from repro.core import (
@@ -222,3 +226,86 @@ class TestWarmStart:
         optimizer = nn.Adam(bigger.named_parameters())
         with pytest.raises(CheckpointError, match="does not match the current parameter set"):
             load_optimizer_state(path, optimizer)
+
+
+# ---------------------------------------------------------------------------
+# Typed-error boundary: arrays that pass the digest, metadata that is wrong
+# ---------------------------------------------------------------------------
+META_KEY = "__checkpoint_meta__"
+# Where load_checkpoint reads metadata: top-level keys, every config
+# field, and each featurizer's schema.
+META_PATHS = (
+    [("config",), ("featurizers",), ("model_version",), ("format_version",), ("digest",), ("optimizer",)]
+    + [("config", field) for field in ModelConfig.__dataclass_fields__]
+    + [("featurizers", "<db>"), ("featurizers", "<db>", "schema")]
+)
+ODD_VALUES = st.sampled_from(["abc", None, [], {}, 1.5, -1, 0, True, [1, 2], {"x": 1}, [["t", 3]]])
+
+
+def _resolve(path, db_name):
+    return tuple(db_name if part == "<db>" else part for part in path)
+
+
+@st.composite
+def mutated_meta(draw, meta, db_name):
+    kind = draw(st.sampled_from(["drop", "retype", "non-dict"]))
+    if kind == "non-dict":
+        return draw(st.sampled_from([[], [meta], "meta", 3, None, 1.5]))
+    meta = copy.deepcopy(meta)
+    path = _resolve(draw(st.sampled_from(META_PATHS)), db_name)
+    parent = meta
+    for part in path[:-1]:
+        parent = parent[part]
+    if kind == "drop":
+        parent.pop(path[-1], None)
+    else:
+        parent[path[-1]] = draw(ODD_VALUES)
+    return meta
+
+
+@pytest.fixture(scope="module")
+def saved_archive(db, tmp_path_factory):
+    """An untrained model's checkpoint, loaded back as raw npz members."""
+    model = MTMLFQO(SMALL)
+    model.attach_featurizer(db.name, DatabaseFeaturizer(db, SMALL))
+    path = save_checkpoint(model, str(tmp_path_factory.mktemp("ckpt") / "base.npz"))
+    with np.load(path) as archive:
+        members = {key: archive[key] for key in archive.files}
+    meta = json.loads(bytes(members.pop(META_KEY)).decode())
+    return members, meta, str(tmp_path_factory.mktemp("mutated") / "mutated.npz")
+
+
+class TestMetadataBoundary:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bad_metadata_raises_only_checkpoint_error(self, db, saved_archive, data):
+        members, meta, path = saved_archive
+        bad = data.draw(mutated_meta(meta, db.name))
+        raw = np.frombuffer(json.dumps(bad).encode(), dtype=np.uint8)
+        np.savez(path, **members, **{META_KEY: raw})
+        try:
+            assert isinstance(read_checkpoint_meta(path), dict)
+        except CheckpointError:
+            pass
+        try:
+            assert isinstance(load_checkpoint(path, db), MTMLFQO)
+        except CheckpointError:
+            pass
+
+    def test_each_reported_failure_is_a_checkpoint_error(self, db, saved_archive):
+        members, meta, path = saved_archive
+        cases = {
+            "config missing": {k: v for k, v in meta.items() if k != "config"},
+            "unknown config field": {**meta, "config": {**meta["config"], "bogus": 1}},
+            "d_model retyped": {**meta, "config": {**meta["config"], "d_model": "abc"}},
+            "list metadata": [meta],
+            "model_version retyped": {**meta, "model_version": "x"},
+        }
+        for name, bad in cases.items():
+            raw = np.frombuffer(json.dumps(bad).encode(), dtype=np.uint8)
+            np.savez(path, **members, **{META_KEY: raw})
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path, db)
+            if name == "list metadata":
+                with pytest.raises(CheckpointError):
+                    read_checkpoint_meta(path)

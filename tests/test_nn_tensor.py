@@ -226,13 +226,15 @@ class TestFunctionalCombinators:
 
 
 class TestFastPathBitIdentity:
-    """The no-tape fast path must be *bit-identical* to the tape path.
+    """A forward that is not recorded must be *bit-identical* to the same
+    forward recorded on the tape.
 
-    Every dual-mode layer is run twice on the same inputs — once under
-    ``nn.force_tape()`` (the pre-fast-path per-op implementation) and
-    once on the default no-grad fast path — and the outputs compared
-    with exact equality, not allclose: beam search ranks candidates by
-    log-prob, and a last-ulp divergence can reorder a beam.
+    Every layer is run twice on the same inputs in eval mode — once with
+    grad on (its parameters require grad, so each op records its VJP)
+    and once under ``nn.no_grad()`` (each op wraps its kernel's output,
+    possibly in a scratch buffer) — and the outputs compared with exact
+    equality, not allclose: beam search ranks candidates by log-prob,
+    and a last-ulp divergence can reorder a beam.
     """
 
     @staticmethod
@@ -240,10 +242,11 @@ class TestFastPathBitIdentity:
         import repro.nn as nn
 
         module.eval()
-        with nn.force_tape(), nn.no_grad():
-            tape = module(*args, **kwargs)
+        tape = module(*args, **kwargs)
+        assert tape.requires_grad  # really recorded
         with nn.no_grad():
             fast = module(*args, **kwargs)
+        assert not fast.requires_grad
         return tape, fast
 
     def test_linear_layernorm_mlp(self):
@@ -280,14 +283,13 @@ class TestFastPathBitIdentity:
         attn.eval()
         q = Tensor(rng.normal(size=(2, 3, 16)))
         memory = Tensor(rng.normal(size=(2, 7, 16)))
-        with nn.force_tape(), nn.no_grad():
-            tape = attn(q, memory, memory)
+        tape = attn(q, memory, memory)
         with nn.no_grad():
-            inline = attn.infer_forward(q.data, memory.data, memory.data)
-            kv = attn.infer_project_kv(memory.data)
-            cached = attn.infer_forward(q.data, None, None, static_kv=kv)
-        np.testing.assert_array_equal(inline, tape.data)
-        np.testing.assert_array_equal(cached, tape.data)
+            inline = attn(q, memory, memory)
+            kv = attn.project_kv(memory)
+            cached = attn(q, None, None, static_kv=kv)
+        np.testing.assert_array_equal(inline.data, tape.data)
+        np.testing.assert_array_equal(cached.data, tape.data)
 
     def test_transformer_encoder_and_decoder_blocks(self):
         from repro.nn import TransformerDecoder, TransformerEncoder
@@ -314,12 +316,11 @@ class TestFastPathBitIdentity:
         decoder.eval()
         x = Tensor(rng.normal(size=(2, 5, 16)))
         memory = Tensor(rng.normal(size=(2, 7, 16)))
-        with nn.force_tape(), nn.no_grad():
-            tape = decoder(x, memory)
+        tape = decoder(x, memory)
         with nn.no_grad():
-            kv = decoder.infer_project_memory_kv(memory.data)
-            fast = decoder.infer_forward(x.data, None, memory_kv=kv)
-        np.testing.assert_array_equal(fast, tape.data)
+            kv = decoder.project_memory_kv(memory)
+            fast = decoder(x, None, memory_kv=kv)
+        np.testing.assert_array_equal(fast.data, tape.data)
 
     def test_lstm(self):
         from repro.nn import LSTM
@@ -330,6 +331,45 @@ class TestFastPathBitIdentity:
         tape, fast = self._fast_vs_tape(lstm, x)
         np.testing.assert_array_equal(fast.data, tape.data)
 
+    def test_embedding_blocks_cells_and_tree(self):
+        import repro.nn as nn
+        from repro.nn import (
+            ChildSumTreeLSTM,
+            Embedding,
+            LSTMCell,
+            TransformerDecoderLayer,
+            TransformerEncoderLayer,
+        )
+
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(2, 5, 16)))
+        memory = Tensor(rng.normal(size=(2, 7, 16)))
+        padding = rng.random((2, 7)) < 0.3
+        tape, fast = self._fast_vs_tape(Embedding(9, 16, rng=rng), rng.integers(0, 9, size=(2, 5)))
+        np.testing.assert_array_equal(fast.data, tape.data)
+        tape, fast = self._fast_vs_tape(TransformerEncoderLayer(16, 4, rng=rng), memory, key_padding_mask=padding)
+        np.testing.assert_array_equal(fast.data, tape.data)
+        tape, fast = self._fast_vs_tape(
+            TransformerDecoderLayer(16, 4, rng=rng), x, memory, memory_padding_mask=padding
+        )
+        np.testing.assert_array_equal(fast.data, tape.data)
+
+        cell = LSTMCell(16, 8, rng=rng)
+        (h_tape, c_tape) = cell(x[:, 0, :])
+        with nn.no_grad():
+            h_fast, c_fast = cell(x[:, 0, :])
+        np.testing.assert_array_equal(h_fast.data, h_tape.data)
+        np.testing.assert_array_equal(c_fast.data, c_tape.data)
+
+        tree = ChildSumTreeLSTM(16, 8, rng=rng)
+        features = {i: rng.normal(size=(1, 16)) for i in range(5)}
+        children = {4: [2, 3], 3: [0, 1]}
+        h_tape = tree.encode_tree(features, children, 4)
+        with nn.no_grad():
+            h_fast = tree.encode_tree(features, children, 4)
+        assert h_tape.requires_grad and not h_fast.requires_grad
+        np.testing.assert_array_equal(h_fast.data, h_tape.data)
+
     def test_softmax_and_log_softmax_kernels(self):
         import repro.nn as nn
         from repro.nn import kernels
@@ -337,9 +377,8 @@ class TestFastPathBitIdentity:
         rng = np.random.default_rng(9)
         for shape in ((7,), (3, 5), (2, 4, 8, 6)):
             x = rng.normal(size=shape) * 10.0
-            with nn.force_tape(), nn.no_grad():
-                tape_sm = F.softmax(Tensor(x), axis=-1).data
-                tape_lsm = F.log_softmax(Tensor(x), axis=-1).data
+            tape_sm = F.softmax(Tensor(x, requires_grad=True), axis=-1).data
+            tape_lsm = F.log_softmax(Tensor(x, requires_grad=True), axis=-1).data
             with nn.no_grad():
                 np.testing.assert_array_equal(kernels.softmax(x, axis=-1), tape_sm)
                 np.testing.assert_array_equal(kernels.log_softmax(x, axis=-1), tape_lsm)
@@ -365,8 +404,7 @@ class TestFastPathBitIdentity:
 
         drop = Dropout(0.5)
         drop.eval()
-        x = Tensor(RNG.normal(size=(4, 4)))
-        with nn.force_tape(), nn.no_grad():
-            assert drop(x) is x
+        x = Tensor(RNG.normal(size=(4, 4)), requires_grad=True)
+        assert drop(x) is x
         with nn.no_grad():
             assert drop(x) is x

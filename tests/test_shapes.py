@@ -5,16 +5,17 @@ Four layers of evidence:
 - **algebra** — the Dim polynomial normal form, shape-spec parsing, and
   the dtype lattice behave as documented;
 - **seeded violations** — for every failure class (shape mismatch,
-  implicit broadcast, dtype creep, desynced dual-mode pair) a fixture
-  snippet seeded with the violation fires its checker, and the
-  disciplined version of the same code stays silent;
+  implicit broadcast, dtype creep) a fixture snippet seeded with the
+  violation fires its checker, and the disciplined version of the same
+  code stays silent;
 - **real-source mutations** — a scratch copy of a *real* nn module with
-  one line deleted from an ``infer_forward`` body, or one output dim
-  changed, produces a finding (the acceptance criterion for the
-  interpreter's sensitivity);
+  one line deleted from a ``forward`` body, or one output dim changed,
+  produces a finding (the acceptance criterion for the interpreter's
+  sensitivity);
 - **layer specs & enforcement** — every annotated ``repro.nn`` layer
-  interprets cleanly against its own declared spec, and the real
-  ``src/repro`` tree is clean under the three new checkers.
+  has one annotated ``forward`` that interprets cleanly against its own
+  declared spec, and the real ``src/repro`` tree is clean under both
+  checkers.
 """
 
 import json
@@ -23,12 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.__main__ import main as analysis_main
-from repro.analysis.checks import (
-    DtypeChecker,
-    DualModeParityChecker,
-    ShapeChecker,
-    all_checkers,
-)
+from repro.analysis.checks import DtypeChecker, ShapeChecker, all_checkers
 from repro.analysis.linter import Linter, SourceModule
 from repro.analysis.shapes import (
     CANONICAL_DTYPE,
@@ -221,66 +217,6 @@ def ok(x, n):
         assert run_checker(DtypeChecker(), self.BAD, "src/repro/tools/fix.py") == []
 
 
-class TestSeededParity:
-    PAIRED = """
-import numpy as np
-from repro import nn
-from repro.nn.spec import shape_spec
-from repro.nn import kernels
-
-class Layer(nn.Module):
-    def __init__(self, d):
-        super().__init__()
-        self.d = d
-        self.weight = nn.Parameter(np.zeros((d, d)))
-
-    @shape_spec(inputs={"x": "(B, d)"}, out="(B, d)", params=("weight",))
-    def forward(self, x):
-        return kernels.relu(x.matmul(self.weight))
-
-    @shape_spec(inputs={"x": "(B, d)"}, out="(B, d)", params=("weight",))
-    def infer_forward(self, x):
-        return kernels.relu(x.matmul(self.weight))
-"""
-
-    def test_synced_pair_is_silent(self):
-        assert run_checker(DualModeParityChecker(), self.PAIRED) == []
-
-    def test_out_spec_desync_fires(self):
-        bad = self.PAIRED.replace(
-            '@shape_spec(inputs={"x": "(B, d)"}, out="(B, d)", params=("weight",))\n    def infer_forward',
-            '@shape_spec(inputs={"x": "(B, d)"}, out="(B, 1)", params=("weight",))\n    def infer_forward',
-        )
-        findings = run_checker(DualModeParityChecker(), bad)
-        assert any("output spec" in f.message for f in findings)
-
-    def test_param_set_desync_fires(self):
-        bad = self.PAIRED.replace(
-            'out="(B, d)", params=("weight",))\n    def infer_forward',
-            'out="(B, d)", params=())\n    def infer_forward',
-        )
-        findings = run_checker(DualModeParityChecker(), bad)
-        assert any("param" in f.message for f in findings)
-
-    def test_op_set_desync_fires(self):
-        bad = self.PAIRED.replace(
-            "return kernels.relu(x.matmul(self.weight))\n",
-            "return x.matmul(self.weight)\n", 1
-        )
-        # forward lost its relu; infer_forward still applies it.
-        findings = run_checker(DualModeParityChecker(), bad)
-        assert any("op set" in f.message and "relu" in f.message for f in findings)
-
-    def test_half_decorated_pair_fires(self):
-        bad = self.PAIRED.replace(
-            '@shape_spec(inputs={"x": "(B, d)"}, out="(B, d)", params=("weight",))\n    def infer_forward',
-            "def infer_forward",
-        )
-        findings = run_checker(DualModeParityChecker(), bad)
-        assert len(findings) >= 1
-        assert any("spec" in f.message for f in findings)
-
-
 # ---------------------------------------------------------------------------
 # Real-source mutations — the acceptance criterion
 # ---------------------------------------------------------------------------
@@ -298,31 +234,23 @@ class TestRealSourceMutations:
             NN_LAYERS, 'out="(..., out_features)"', 'out="(..., in_features)"'
         )
         findings = ShapeChecker().check(module)
-        symbols = {f.symbol for f in findings}
-        # Both modes interpret against the (now wrong) declared out.
-        assert {"Linear.forward", "Linear.infer_forward"} <= symbols
+        # The one forward interprets against the (now wrong) declared out.
+        assert {f.symbol for f in findings} == {"Linear.forward"}
         assert all("out_features" in f.message for f in findings)
 
-    def test_deleting_infer_forward_line_fires(self):
+    def test_deleting_forward_line_fires(self):
+        # Dropping the blocks' ff2 projection adds the ff_dim-wide hidden
+        # state to the dim-wide residual stream.
         module = self.mutate(
             "src/repro/nn/transformer.py",
-            'hidden = kernels.relu(self.ff1.infer_forward(normed, scratch=scratch, tag=tag + ".ff1"))',
-            'hidden = self.ff1.infer_forward(normed, scratch=scratch, tag=tag + ".ff1")',
+            "x = x + self.dropout(self.ff2(hidden))",
+            "x = x + self.dropout(hidden)",
         )
-        findings = DualModeParityChecker().check(module)
-        assert any(
-            "relu" in f.message and f.symbol.endswith("infer_forward")
-            for f in findings
-        )
-
-    def test_desyncing_declared_params_fires(self):
-        module = self.mutate(
-            NN_LAYERS,
-            'out="(..., out_features)",\n                params=("weight", "bias"))\n    def infer_forward',
-            'out="(..., out_features)",\n                params=("weight",))\n    def infer_forward',
-        )
-        findings = DualModeParityChecker().check(module)
-        assert any("param" in f.message and "Linear" in f.symbol for f in findings)
+        findings = ShapeChecker().check(module)
+        assert {f.symbol for f in findings} == {
+            "TransformerEncoderLayer.forward", "TransformerDecoderLayer.forward",
+        }
+        assert all("ff_dim" in f.message for f in findings)
 
     @pytest.mark.parametrize(
         "rel_path",
@@ -338,7 +266,7 @@ class TestRealSourceMutations:
     def test_pristine_module_is_silent(self, rel_path):
         text = (SRC_ROOT.parent.parent / rel_path).read_text()
         module = SourceModule(text, rel_path)
-        for checker in (ShapeChecker(), DtypeChecker(), DualModeParityChecker()):
+        for checker in (ShapeChecker(), DtypeChecker()):
             findings = checker.check(module)
             assert findings == [], "\n".join(f.format() for f in findings)
 
@@ -348,19 +276,19 @@ class TestRealSourceMutations:
 # ---------------------------------------------------------------------------
 # Every param-bearing layer of the substrate and its annotated methods.
 LAYER_METHODS = {
-    "Linear": {"forward", "infer_forward"},
-    "LayerNorm": {"forward", "infer_forward"},
-    "Embedding": {"forward"},  # lookup layers have no no-tape twin
-    "Dropout": {"forward"},  # identity when not training; no twin
-    "MLP": {"forward", "infer_forward"},
-    "LSTMCell": {"forward", "infer_forward"},
-    "LSTM": {"forward", "infer_forward"},
+    "Linear": {"forward"},
+    "LayerNorm": {"forward"},
+    "Embedding": {"forward"},
+    "Dropout": {"forward"},
+    "MLP": {"forward"},
+    "LSTMCell": {"forward"},
+    "LSTM": {"forward"},
     "ChildSumTreeLSTM": set(),  # tree recursion: node_forward is data-dependent
-    "MultiHeadAttention": {"forward", "infer_forward"},
-    "TransformerEncoderLayer": {"forward", "infer_forward"},
-    "TransformerEncoder": {"forward", "infer_forward"},
-    "TransformerDecoderLayer": {"forward", "infer_forward"},
-    "TransformerDecoder": {"forward", "infer_forward"},
+    "MultiHeadAttention": {"forward", "project_kv"},
+    "TransformerEncoderLayer": {"forward"},
+    "TransformerEncoder": {"forward"},
+    "TransformerDecoderLayer": {"forward"},
+    "TransformerDecoder": {"forward", "project_memory_kv"},
 }
 
 
@@ -381,16 +309,18 @@ class TestLayerSpecs:
         assert problems == [], "\n".join(p.message for p in problems)
 
     DUAL_MODE = sorted(
-        layer for layer, methods in LAYER_METHODS.items() if "infer_forward" in methods
+        layer for layer, methods in LAYER_METHODS.items()
+        if "forward" in methods and layer not in ("Embedding", "Dropout")
     )
 
     @pytest.mark.parametrize("layer", DUAL_MODE)
     def test_dual_modes_declare_identical_specs(self, registry, layer):
+        # Recording and not recording run this one annotated forward, so
+        # both modes share its spec by construction; pin the construction:
+        # a declared out spec, and no infer_* twin that could diverge.
         info = registry.classes[layer]
-        forward = info.methods["forward"]
-        infer = info.methods["infer_forward"]
-        assert forward.raw_out == infer.raw_out
-        assert forward.params == infer.params
+        assert info.methods["forward"].raw_out is not None
+        assert not [name for name in info.func_nodes if name.startswith("infer_")]
 
     def test_kernels_are_annotated(self, registry):
         for kernel in ("matmul", "linear", "layer_norm", "relu", "sigmoid",
@@ -409,11 +339,11 @@ class TestLayerSpecs:
 # ---------------------------------------------------------------------------
 class TestRepoIsClean:
     def test_src_repro_has_zero_shape_findings(self):
-        linter = Linter([ShapeChecker(), DtypeChecker(), DualModeParityChecker()])
+        linter = Linter([ShapeChecker(), DtypeChecker()])
         findings = linter.run_paths([SRC_ROOT], root=SRC_ROOT.parent.parent)
         assert findings == [], "\n" + "\n".join(f.format() for f in findings)
         # And the stats the CLI exposes account for every checker.
-        assert set(linter.stats) == {"shape-spec", "dtype-lattice", "dual-mode-parity"}
+        assert set(linter.stats) == {"shape-spec", "dtype-lattice"}
 
 
 # ---------------------------------------------------------------------------
